@@ -77,6 +77,8 @@ class ChResult:
     statistic bit-identical across efficiencies and exactly recomputable.
     ``statistic`` is the normalized upper-bound margin (violation iff > 0)
     and ``lower_margin`` the normalized headroom above the -P(*,*) bound.
+    For an array of visibilities, the four setting-dependent terms, the two
+    margins and ``violated`` are arrays over it.
     """
 
     statistic: float
@@ -116,7 +118,8 @@ def ch_statistic(settings: ChSettings) -> ChResult:
     The four setting-dependent terms follow the coincidence law at the
     settings' visibility; the two star terms are the exact constants of the
     single-mode-fiber reference, not simulated quantities. Terms are
-    evaluated at unit efficiency so eta cancels identically.
+    evaluated at unit efficiency so eta cancels identically. An array
+    visibility in the settings evaluates every contrast in one pass.
     """
     u = [
         joint_probability_at_phase(delta, settings.v, UNIT_EFFICIENCY)

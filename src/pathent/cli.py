@@ -33,9 +33,7 @@ from .correlations import (
     Efficiency,
     UNIT_VISIBILITY,
     Visibility,
-    g2,
     g2_at_phase,
-    joint_probability,
     joint_probability_at_phase,
 )
 from .geometry import DetectorSetting, EmitterPair, phase_at, phase_difference
@@ -189,10 +187,26 @@ def _domain(factory: Callable[..., object], **kwargs) -> object:
         raise ConfigError(str(exc)) from None
 
 
-def _linspace(start: float, stop: float, count: int, what: str) -> np.ndarray:
+def _linspace(start: float, stop: float, count: int, axis: str, what: str) -> np.ndarray:
+    """``count`` evenly spaced values from ``start`` to ``stop``.
+
+    ``axis`` and ``what`` name the options (``axis``_start, ``axis``_stop and
+    the count) in error messages.
+    """
     if count < 1:
         raise ConfigError(f"{what} must be >= 1, got {count}")
+    if not math.isfinite(stop - start):  # also catches a non-finite end
+        raise ConfigError(
+            f"{axis}_start and {axis}_stop must be finite with a finite difference, "
+            f"got {start!r} and {stop!r}"
+        )
     return np.linspace(start, stop, count)
+
+
+def _csv_text(rows: list[str]) -> str:
+    """Rows joined with LF endings; one join, so the text is built only once."""
+    rows.append("")
+    return "\n".join(rows)
 
 
 def _run_g2_scan(cfg: RunConfig) -> str:
@@ -200,47 +214,38 @@ def _run_g2_scan(cfg: RunConfig) -> str:
     vis: Visibility = _domain(Visibility, v=cfg.visibility)
     eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
 
-    angle_mode = cfg.xi_start is not None or cfg.xi_stop is not None
-    rows = ["delta_phi,g2,joint_probability"]
-    if angle_mode:
+    if cfg.xi_start is not None or cfg.xi_stop is not None:
         if cfg.xi_start is None or cfg.xi_stop is None:
             raise ConfigError("angle mode needs both xi_start and xi_stop")
         geometry: EmitterPair = _domain(EmitterPair, kd=cfg.kd)
         det_ref: DetectorSetting = _domain(DetectorSetting, xi=cfg.xi_ref)
-        for xi in _linspace(cfg.xi_start, cfg.xi_stop, cfg.points, "points"):
-            det: DetectorSetting = _domain(DetectorSetting, xi=float(xi))
-            delta = phase_difference(geometry, det_ref, det)
-            rows.append(
-                f"{_fmt(delta)},{_fmt(g2(geometry, det_ref, det, params, vis))},"
-                f"{_fmt(joint_probability(geometry, det_ref, det, params, vis, eff))}"
-            )
+        xi = _linspace(cfg.xi_start, cfg.xi_stop, cfg.points, "xi", "points")
+        det: DetectorSetting = _domain(DetectorSetting, xi=xi)
+        delta = phase_difference(geometry, det_ref, det)
     else:
-        for delta in _linspace(cfg.phi_start, cfg.phi_stop, cfg.points, "points"):
-            delta = float(delta)
-            rows.append(
-                f"{_fmt(delta)},{_fmt(g2_at_phase(delta, params, vis))},"
-                f"{_fmt(joint_probability_at_phase(delta, vis, eff))}"
-            )
-    return "\n".join(rows) + "\n"
+        delta = _linspace(cfg.phi_start, cfg.phi_stop, cfg.points, "phi", "points")
+    g2 = g2_at_phase(delta, params, vis)
+    joint = joint_probability_at_phase(delta, vis, eff)
+    rows = ["delta_phi,g2,joint_probability"]
+    rows.extend(f"{_fmt(d)},{_fmt(g)},{_fmt(p)}" for d, g, p in zip(delta, g2, joint))
+    return _csv_text(rows)
 
 
 def _run_bell_test(cfg: RunConfig) -> str:
     eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
     if cfg.v_grid is not None:
-        v_values = cfg.v_grid
+        v = np.array(cfg.v_grid)
     else:
-        v_values = tuple(
-            float(v) for v in _linspace(cfg.v_start, cfg.v_stop, cfg.v_points, "v_points")
-        )
+        v = _linspace(cfg.v_start, cfg.v_stop, cfg.v_points, "v", "v_points")
+    vis: Visibility = _domain(Visibility, v=v)
+    result = ch_statistic(bell_angle_settings(vis, eff))
+    columns = zip(v, result.statistic, result.lower_margin, result.violated)
     rows = ["v,statistic,lower_margin,violated"]
-    for v in v_values:
-        vis: Visibility = _domain(Visibility, v=v)
-        result = ch_statistic(bell_angle_settings(vis, eff))
-        flag = "true" if result.violated else "false"
-        rows.append(
-            f"{_fmt(v)},{_fmt(result.statistic)},{_fmt(result.lower_margin)},{flag}"
-        )
-    return "\n".join(rows) + "\n"
+    rows.extend(
+        f"{_fmt(c)},{_fmt(s)},{_fmt(m)},{'true' if flag else 'false'}"
+        for c, s, m, flag in columns
+    )
+    return _csv_text(rows)
 
 
 def _run_mc_bell(cfg: RunConfig) -> str:
@@ -259,7 +264,12 @@ def _run_mc_bell(cfg: RunConfig) -> str:
             f"{seed},{estimate.trials},{_fmt(estimate.statistic_hat)},"
             f"{_fmt(estimate.std_error)},{_fmt(estimate.sigma_violation)}"
         )
-    return "\n".join(rows) + "\n"
+    return _csv_text(rows)
+
+
+#: Rows of the detector grid evaluated per pass of path-check; bounds its
+#: working memory to a few arrays of _PATH_CHECK_ROWS * grid_points values.
+_PATH_CHECK_ROWS = 16
 
 
 def _run_path_check(cfg: RunConfig) -> str:
@@ -272,16 +282,17 @@ def _run_path_check(cfg: RunConfig) -> str:
     # detector-angle grid; the scale factor e0^4/4 links the two.
     scale = 0.25 * params.e0**4
     angles = np.linspace(-HALF_PI, HALF_PI, cfg.grid_points)
+    det2 = DetectorSetting(xi=angles)
+    phi2 = phase_at(geometry, det2)
     deviation = 0.0
-    for xi1 in angles:
-        det1 = DetectorSetting(xi=float(xi1))
-        phi1 = phase_at(geometry, det1)
-        for xi2 in angles:
-            det2 = DetectorSetting(xi=float(xi2))
-            phi2 = phase_at(geometry, det2)
-            operator_g2 = abs(two_photon_amplitude(geometry, det1, det2, params)) ** 2
-            path_g2 = scale * g2_path(phi1, phi2, UNIT_VISIBILITY)
-            deviation = max(deviation, abs(path_g2 - operator_g2))
+    for first in range(0, angles.size, _PATH_CHECK_ROWS):
+        det1 = DetectorSetting(xi=angles[first:first + _PATH_CHECK_ROWS, np.newaxis])
+        amplitude = two_photon_amplitude(geometry, det1, det2, params)
+        # |z|**2 as Python computes it: hypot, then libm pow. np.abs and
+        # x*x each differ from that in the last bit for some inputs.
+        operator_g2 = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2.0)
+        path_g2 = scale * g2_path(phase_at(geometry, det1), phi2, UNIT_VISIBILITY)
+        deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))
 
     rank = schmidt_rank(postselected_state(normalized=True), DETECTOR_BIPARTITION)
     return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"

@@ -10,9 +10,12 @@ with V in [0, 1] the fringe visibility. Detection probabilities follow by
 scaling with a single efficiency eta: P(r1) = eta, P12 = (eta^2/E0^4) * G2,
 and the conditional probability P(r2|r1) = P12 / P(r1).
 
-Each detector-level function has an ``*_at_phase`` companion taking the
-phase difference directly; the detector-level form just converts geometry
-to a phase difference first.
+``g2``, ``conditional_probability`` and ``joint_probability`` take a detector
+pair and convert it to a phase difference; each has an ``*_at_phase``
+companion taking the phase difference directly. ``g1`` and
+``marginal_probability`` are position-free and have none. ``fringe`` and the
+``*_at_phase`` functions broadcast over numpy arrays of phase differences and
+of visibilities, a scalar being the 0-d case.
 """
 
 from __future__ import annotations
@@ -20,19 +23,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import DetectorSetting, EmitterPair, phase_difference
 from .quantum_core import FieldParams
 
 
 @dataclass(frozen=True)
 class Visibility:
-    """Fringe contrast of the coincidence signal, v in [0, 1]."""
+    """Fringe contrast of the coincidence signal, v in [0, 1].
 
-    v: float
+    ``v`` is a scalar or an array of contrasts, each of which is validated.
+    """
+
+    v: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.v) or not 0.0 <= self.v <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {self.v!r}")
+        v = np.asarray(self.v)
+        valid = (v >= 0.0) & (v <= 1.0)  # False for NaN
+        if not valid.all():
+            raise ValueError(f"visibility must lie in [0, 1], got {v[~valid][0]}")
 
 
 @dataclass(frozen=True)
@@ -53,9 +63,9 @@ UNIT_EFFICIENCY = Efficiency(eta=1.0)
 UNIT_VISIBILITY = Visibility(v=1.0)
 
 
-def fringe(delta_phi: float, vis: Visibility) -> float:
+def fringe(delta_phi: float | np.ndarray, vis: Visibility) -> float | np.ndarray:
     """Dimensionless interference factor 1 + v*cos(delta_phi), in [0, 2]."""
-    return 1.0 + vis.v * math.cos(delta_phi)
+    return 1.0 + vis.v * np.cos(delta_phi)
 
 
 def g1(params: FieldParams, detector: DetectorSetting | None = None) -> float:
@@ -67,7 +77,9 @@ def g1(params: FieldParams, detector: DetectorSetting | None = None) -> float:
     return params.e0**2
 
 
-def g2_at_phase(delta_phi: float, params: FieldParams, vis: Visibility) -> float:
+def g2_at_phase(
+    delta_phi: float | np.ndarray, params: FieldParams, vis: Visibility
+) -> float | np.ndarray:
     """Second-order correlation function at a given phase difference."""
     return 0.5 * params.e0**4 * fringe(delta_phi, vis)
 
@@ -93,8 +105,8 @@ def marginal_probability(
 
 
 def conditional_probability_at_phase(
-    delta_phi: float, vis: Visibility, eff: Efficiency
-) -> float:
+    delta_phi: float | np.ndarray, vis: Visibility, eff: Efficiency
+) -> float | np.ndarray:
     """Probability of the second detection given the first, (eta/2)*(1 + v*cos)."""
     return eff.eta * (0.5 * fringe(delta_phi, vis))
 
@@ -116,8 +128,8 @@ def conditional_probability(
 
 
 def joint_probability_at_phase(
-    delta_phi: float, vis: Visibility, eff: Efficiency
-) -> float:
+    delta_phi: float | np.ndarray, vis: Visibility, eff: Efficiency
+) -> float | np.ndarray:
     """Coincidence probability (eta^2/2)*(1 + v*cos(delta_phi)), in [0, eta^2].
 
     Built as marginal * conditional so the chain rule holds bit-exactly.

@@ -5,12 +5,17 @@ A detector at observation angle xi (measured from the perpendicular bisector
 of the emitter axis, double-slit convention) sees the two emission paths with
 a relative phase kd*sin(xi), where k is the transition wavenumber. Only the
 dimensionless product kd matters.
+
+Detector angles may be numpy arrays: the phase functions broadcast over them,
+a scalar angle being the 0-d case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 HALF_PI = math.pi / 2
 
@@ -30,25 +35,28 @@ class EmitterPair:
 
 @dataclass(frozen=True)
 class DetectorSetting:
-    """A far-field detector at observation angle xi in [-pi/2, pi/2] radians."""
+    """Far-field detectors at observation angles xi in [-pi/2, pi/2] radians.
 
-    xi: float
+    ``xi`` is a scalar or an array of angles, each of which is validated.
+    """
+
+    xi: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.xi):
-            raise ValueError(f"xi must be finite, got {self.xi!r}")
-        if not -HALF_PI <= self.xi <= HALF_PI:
-            raise ValueError(f"xi must lie in [-pi/2, pi/2], got {self.xi!r}")
+        xi = np.asarray(self.xi)
+        valid = np.abs(xi) <= HALF_PI  # False for NaN
+        if not valid.all():
+            raise ValueError(f"xi must lie in [-pi/2, pi/2], got {xi[~valid][0]}")
 
 
-def phase_at(geometry: EmitterPair, detector: DetectorSetting) -> float:
+def phase_at(geometry: EmitterPair, detector: DetectorSetting) -> float | np.ndarray:
     """Relative phase kd*sin(xi) between the two emission paths at the detector."""
-    return geometry.kd * math.sin(detector.xi)
+    return geometry.kd * np.sin(detector.xi)
 
 
 def phase_difference(
     geometry: EmitterPair, det_a: DetectorSetting, det_b: DetectorSetting
-) -> float:
+) -> float | np.ndarray:
     """Phase at det_b minus phase at det_a; the argument of the interference fringe."""
     return phase_at(geometry, det_b) - phase_at(geometry, det_a)
 

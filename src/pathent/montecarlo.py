@@ -38,6 +38,10 @@ class McConfig:
     settings: ChSettings
 
     def __post_init__(self) -> None:
+        for name in ("seed", "trials_per_setting"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.trials_per_setting < 1:

@@ -190,29 +190,28 @@ def final_amplitude(phi1: float, phi2: float) -> complex:
     return cmath.exp(1j * phi2) + cmath.exp(1j * phi1)
 
 
-def g2_path(phi1: float, phi2: float, vis: Visibility) -> float:
+def g2_path(
+    phi1: float | np.ndarray, phi2: float | np.ndarray, vis: Visibility
+) -> float | np.ndarray:
     """Coincidence signal of the path model, 2*(1 + v*cos(phi2 - phi1)).
 
     At full contrast this is exactly |final_amplitude|^2; visibility damps
-    only the interference cross term.
+    only the interference cross term. Array phases broadcast.
     """
-    return 2.0 * (1.0 + vis.v * math.cos(phi2 - phi1))
+    return 2.0 * (1.0 + vis.v * np.cos(phi2 - phi1))
 
 
 def _bipartite_matrix(state: FourModeState, cut: Bipartition) -> np.ndarray:
-    """Amplitudes reshaped into a (left occupations) x (right occupations) matrix."""
+    """Amplitudes reshaped into a (left occupations) x (right occupations) matrix.
+
+    The left modes, in ascending order, become the leading axes, so the
+    row index reads their occupations as a binary number, first mode most
+    significant; likewise the column index for the right modes.
+    """
     left = sorted(cut.left)
     right = sorted(cut.right)
-    matrix = np.zeros((2 ** len(left), 2 ** len(right)), dtype=complex)
-    for pattern in itertools.product((0, 1), repeat=4):
-        row = 0
-        for mode in left:
-            row = 2 * row + pattern[mode - 1]
-        col = 0
-        for mode in right:
-            col = 2 * col + pattern[mode - 1]
-        matrix[row, col] = state.amplitudes[pattern]
-    return matrix
+    axes = [mode - 1 for mode in left + right]
+    return state.amplitudes.transpose(axes).reshape(2 ** len(left), 2 ** len(right))
 
 
 def schmidt_coefficients(state: FourModeState, cut: Bipartition) -> np.ndarray:

@@ -9,14 +9,18 @@ driven by the negative-frequency part of the far-field operator
 with S_n^- = |g><e| the lowering operator of atom n and phi(r) the geometric
 path phase at the detector. The gauge puts phase 0 on atom A and the full
 relative phase on atom B; any common phase drops out of every modulus.
+
+Amplitudes may be numpy arrays, one state per element, so the operators
+broadcast over arrays of detector angles; a scalar state is the 0-d case.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .geometry import DetectorSetting, EmitterPair, phase_at
 
@@ -27,6 +31,16 @@ NORMALIZATION_TOL = 1e-12
 class Atom(Enum):
     A = "A"
     B = "B"
+
+
+def _product(a: complex | np.ndarray, b: complex | np.ndarray) -> complex | np.ndarray:
+    """Complex product a*b, rounded as Python rounds it for scalars.
+
+    numpy's vectorized complex multiply may fuse multiply-adds, so for long
+    arrays it can differ from the scalar product in the last bit. Spelled
+    out in real arithmetic, every element is rounded the same way.
+    """
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 @dataclass(frozen=True)
@@ -46,16 +60,18 @@ class AtomicState:
 
     States are value objects; operators return new instances. Intermediate
     states produced by operator application are generally unnormalized.
+    Each amplitude is a complex scalar or an array; arrays of one state
+    broadcast against each other element-wise.
     """
 
-    amp_ee: complex = 0j
-    amp_eg: complex = 0j
-    amp_ge: complex = 0j
-    amp_gg: complex = 0j
+    amp_ee: complex | np.ndarray = 0j
+    amp_eg: complex | np.ndarray = 0j
+    amp_ge: complex | np.ndarray = 0j
+    amp_gg: complex | np.ndarray = 0j
 
     def __post_init__(self) -> None:
         for name in ("amp_ee", "amp_eg", "amp_ge", "amp_gg"):
-            if not cmath.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
     @classmethod
@@ -92,12 +108,12 @@ class AtomicState:
             amp_gg=self.amp_gg + other.amp_gg,
         )
 
-    def scaled(self, factor: complex) -> "AtomicState":
+    def scaled(self, factor: complex | np.ndarray) -> "AtomicState":
         return AtomicState(
-            amp_ee=factor * self.amp_ee,
-            amp_eg=factor * self.amp_eg,
-            amp_ge=factor * self.amp_ge,
-            amp_gg=factor * self.amp_gg,
+            amp_ee=_product(factor, self.amp_ee),
+            amp_eg=_product(factor, self.amp_eg),
+            amp_ge=_product(factor, self.amp_ge),
+            amp_gg=_product(factor, self.amp_gg),
         )
 
     def __mul__(self, factor: complex) -> "AtomicState":
@@ -122,7 +138,7 @@ def apply_field_negative(
     detector: DetectorSetting,
     params: FieldParams,
     state: AtomicState,
-    global_phase: float = 0.0,
+    global_phase: float | np.ndarray = 0.0,
 ) -> AtomicState:
     """Apply E^(-)(r) = (E0/sqrt(2)) (S_A^- + e^{-i phi(r)} S_B^-) to the state.
 
@@ -131,8 +147,8 @@ def apply_field_negative(
     """
     phi = phase_at(geometry, detector)
     branch_a = lowering(Atom.A, state)
-    branch_b = lowering(Atom.B, state).scaled(cmath.exp(-1j * phi))
-    prefactor = (params.e0 / _SQRT2) * cmath.exp(1j * global_phase)
+    branch_b = lowering(Atom.B, state).scaled(np.exp(-1j * phi))
+    prefactor = (params.e0 / _SQRT2) * np.exp(1j * global_phase)
     return (branch_a + branch_b).scaled(prefactor)
 
 
@@ -141,11 +157,13 @@ def two_photon_amplitude(
     det1: DetectorSetting,
     det2: DetectorSetting,
     params: FieldParams,
-) -> complex:
+) -> complex | np.ndarray:
     """Amplitude on |gg> after both detectors have absorbed a photon.
 
     Equals (E0^2/2) * (e^{-i phi(r2)} + e^{-i phi(r1)}); its squared modulus
-    is the ideal-contrast coincidence signal.
+    is the ideal-contrast coincidence signal. Array angles of the two
+    detectors broadcast against each other, e.g. a column against a row
+    gives the amplitude on every pair of the grid.
     """
     once = apply_field_negative(geometry, det1, params, AtomicState.excited())
     twice = apply_field_negative(geometry, det2, params, once)

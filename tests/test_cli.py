@@ -220,6 +220,26 @@ class TestExitCodes:
         assert code == 3
         assert "invalid configuration" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g2-scan", "--phi-start", "nan"],
+            ["g2-scan", "--phi-stop", "inf"],
+            ["g2-scan", "--phi-start=-inf"],
+            ["g2-scan", "--phi-start=-1e308", "--phi-stop", "1e308"],
+            ["g2-scan", "--xi-start", "nan", "--xi-stop", "1"],
+            ["g2-scan", "--xi-start", "-1", "--xi-stop", "inf"],
+            ["bell-test", "--v-start", "nan"],
+            ["bell-test", "--v-stop", "inf"],
+        ],
+    )
+    def test_non_finite_grid_end_is_config_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pathent: invalid configuration:")
+        assert err.count("\n") == 1
+
     def test_invalid_eta_is_config_error(self, capsys):
         code, _, _ = run_capture(capsys, ["bell-test", "--eta", "0"])
         assert code == 3

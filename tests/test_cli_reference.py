@@ -1,0 +1,159 @@
+"""CLI output pinned byte for byte against scalar reference runners.
+
+The references evaluate the kernels one point (or one detector pair) at a
+time with Python scalars, as the commands once did; the CLI evaluates each
+grid in array passes and must print exactly the same bytes.
+"""
+
+import contextlib
+import io
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from pathent.bell import bell_angle_settings, ch_statistic
+from pathent.cli import RunConfig, run
+from pathent.correlations import (
+    Efficiency,
+    UNIT_VISIBILITY,
+    Visibility,
+    g2,
+    g2_at_phase,
+    joint_probability,
+    joint_probability_at_phase,
+)
+from pathent.geometry import DetectorSetting, EmitterPair, phase_at, phase_difference
+from pathent.pathmodel import DETECTOR_BIPARTITION, g2_path, postselected_state, schmidt_rank
+from pathent.quantum_core import FieldParams, two_photon_amplitude
+
+HALF_PI = math.pi / 2
+
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def reference_g2_scan(cfg):
+    params = FieldParams(e0=cfg.e0)
+    vis = Visibility(v=cfg.visibility)
+    eff = Efficiency(eta=cfg.eta)
+    rows = ["delta_phi,g2,joint_probability"]
+    if cfg.xi_start is not None:
+        geometry = EmitterPair(kd=cfg.kd)
+        det_ref = DetectorSetting(xi=cfg.xi_ref)
+        for xi in np.linspace(cfg.xi_start, cfg.xi_stop, cfg.points):
+            det = DetectorSetting(xi=float(xi))
+            delta = phase_difference(geometry, det_ref, det)
+            rows.append(
+                f"{_fmt(delta)},{_fmt(g2(geometry, det_ref, det, params, vis))},"
+                f"{_fmt(joint_probability(geometry, det_ref, det, params, vis, eff))}"
+            )
+    else:
+        for delta in np.linspace(cfg.phi_start, cfg.phi_stop, cfg.points):
+            delta = float(delta)
+            rows.append(
+                f"{_fmt(delta)},{_fmt(g2_at_phase(delta, params, vis))},"
+                f"{_fmt(joint_probability_at_phase(delta, vis, eff))}"
+            )
+    return "\n".join(rows) + "\n"
+
+
+def reference_bell_test(cfg):
+    eff = Efficiency(eta=cfg.eta)
+    if cfg.v_grid is not None:
+        v_values = cfg.v_grid
+    else:
+        v_values = [float(v) for v in np.linspace(cfg.v_start, cfg.v_stop, cfg.v_points)]
+    rows = ["v,statistic,lower_margin,violated"]
+    for v in v_values:
+        result = ch_statistic(bell_angle_settings(Visibility(v=v), eff))
+        flag = "true" if result.violated else "false"
+        rows.append(f"{_fmt(v)},{_fmt(result.statistic)},{_fmt(result.lower_margin)},{flag}")
+    return "\n".join(rows) + "\n"
+
+
+def reference_path_check(cfg):
+    geometry = EmitterPair(kd=cfg.kd)
+    params = FieldParams(e0=cfg.e0)
+    scale = 0.25 * params.e0**4
+    angles = np.linspace(-HALF_PI, HALF_PI, cfg.grid_points)
+    deviation = 0.0
+    for xi1 in angles:
+        det1 = DetectorSetting(xi=float(xi1))
+        phi1 = phase_at(geometry, det1)
+        for xi2 in angles:
+            det2 = DetectorSetting(xi=float(xi2))
+            phi2 = phase_at(geometry, det2)
+            operator_g2 = abs(two_photon_amplitude(geometry, det1, det2, params)) ** 2
+            path_g2 = scale * g2_path(phi1, phi2, UNIT_VISIBILITY)
+            deviation = max(deviation, abs(path_g2 - operator_g2))
+    rank = schmidt_rank(postselected_state(normalized=True), DETECTOR_BIPARTITION)
+    return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"
+
+
+def cli_output(command, options):
+    """Stdout of the CLI for ``command`` with ``options`` passed as flags."""
+    argv = [command]
+    for key, value in options.items():
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        argv.append(f"--{key.replace('_', '-')}={text}")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+def assert_matches_reference(command, reference, options):
+    expected = reference(RunConfig(command=command, **options))
+    assert cli_output(command, options) == expected
+
+
+angles = st.floats(min_value=-HALF_PI, max_value=HALF_PI)
+contrasts = st.floats(min_value=0.0, max_value=1.0)
+etas = st.floats(min_value=1e-3, max_value=1.0)
+e0s = st.floats(min_value=0.1, max_value=3.0)
+kds = st.floats(min_value=0.1, max_value=50.0)
+
+
+@given(
+    phi_start=st.floats(min_value=-100.0, max_value=100.0),
+    phi_stop=st.floats(min_value=-100.0, max_value=100.0),
+    points=st.integers(min_value=1, max_value=300),
+    e0=e0s, visibility=contrasts, eta=etas,
+)
+def test_g2_scan_phase_mode(**options):
+    assert_matches_reference("g2-scan", reference_g2_scan, options)
+
+
+@given(
+    kd=kds, xi_start=angles, xi_stop=angles, xi_ref=angles,
+    points=st.integers(min_value=1, max_value=300),
+    e0=e0s, visibility=contrasts, eta=etas,
+)
+@example(  # rows span several CSV formatting blocks
+    kd=7.0, xi_start=-1.5, xi_stop=1.5, xi_ref=0.2, points=2500, e0=1.1, visibility=0.9, eta=0.8
+)
+def test_g2_scan_angle_mode(**options):
+    assert_matches_reference("g2-scan", reference_g2_scan, options)
+
+
+@given(
+    v_start=contrasts, v_stop=contrasts,
+    v_points=st.integers(min_value=1, max_value=300), eta=etas,
+)
+@example(v_start=0.0, v_stop=1.0, v_points=2100, eta=0.9)  # several CSV formatting blocks
+def test_bell_test_visibility_range(**options):
+    assert_matches_reference("bell-test", reference_bell_test, options)
+
+
+@given(v_grid=st.lists(contrasts, min_size=1, max_size=40).map(tuple), eta=etas)
+def test_bell_test_visibility_list(**options):
+    assert_matches_reference("bell-test", reference_bell_test, options)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kd=kds, e0=e0s, grid_points=st.integers(min_value=2, max_value=40))
+@example(kd=2 * math.pi, e0=1.0, grid_points=40)  # two full row blocks and a partial one
+def test_path_check(**options):
+    assert_matches_reference("path-check", reference_path_check, options)

@@ -3,6 +3,7 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from pathent.bell import ChSettings, bell_angle_settings, ch_statistic
@@ -74,6 +75,22 @@ class TestSimulateCounts:
             McConfig(seed=2**64, trials_per_setting=10, settings=settings)
         with pytest.raises(ValueError):
             McConfig(seed=0, trials_per_setting=0, settings=settings)
+
+    @pytest.mark.parametrize(
+        "seed,trials",
+        [(1.5, 10), (True, 10), ("3", 10), (np.bool_(True), 10),
+         (0, True), (0, 10.0), (0, np.float64(10.0))],
+    )
+    def test_config_rejects_non_integers(self, seed, trials):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(seed=seed, trials_per_setting=trials,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
+
+    def test_config_accepts_numpy_integers(self):
+        settings = bell_angle_settings(Visibility(v=0.9))
+        plain = McConfig(seed=7, trials_per_setting=1000, settings=settings)
+        numpy = McConfig(seed=np.int64(7), trials_per_setting=np.uint32(1000), settings=settings)
+        assert simulate_counts(numpy) == simulate_counts(plain)
 
 
 class TestEstimateCh:
