@@ -2,7 +2,10 @@
 
 Each trial is one excitation-emission cycle that yields a coincidence with
 the analytic joint probability of its setting pair; inefficiency and failed
-post-selection are already absorbed into eta. The four setting pairs draw
+post-selection are already absorbed into eta. The count of ``n`` such
+independent trials is exactly one Binomial(n, p) variate, so each setting
+pair's count is a single binomial draw rather than ``n`` Bernoulli samples:
+time and memory per pair do not grow with ``n``. The four setting pairs draw
 from independent, deterministically derived random substreams (the term
 index is mixed into the seed), so counts depend only on (seed, trials,
 settings) and never on evaluation order.
@@ -27,6 +30,8 @@ from .bell import ChSettings, star_probability
 from .correlations import joint_probability_at_phase
 
 _MAX_SEED = 2**64
+#: Largest sample size numpy's binomial sampler takes (a signed 64-bit integer).
+_MAX_TRIALS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,10 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.trials_per_setting < 1:
+        if not 1 <= self.trials_per_setting <= _MAX_TRIALS:
             raise ValueError(
-                f"trials_per_setting must be >= 1, got {self.trials_per_setting!r}"
+                f"trials_per_setting must lie in [1, 2**63 - 1], "
+                f"got {self.trials_per_setting!r}"
             )
 
 
@@ -87,16 +93,16 @@ def _term_rng(seed: int, term_index: int) -> np.random.Generator:
 def simulate_counts(cfg: McConfig) -> tuple[int, int, int, int]:
     """Coincidence counts for the four setting pairs.
 
-    Per pair, draws ``trials_per_setting`` Bernoulli samples whose success
-    probability is the analytic joint probability at that phase difference.
+    Per pair, draws one Binomial(``trials_per_setting``, p) variate from the
+    pair's own substream, with p the analytic joint probability at that phase
+    difference; time and memory are constant in ``trials_per_setting``.
     """
     settings = cfg.settings
     counts = []
     for term_index, delta in enumerate(settings.phase_differences()):
         p = joint_probability_at_phase(delta, settings.v, settings.eta)
         rng = _term_rng(cfg.seed, term_index)
-        hits = np.count_nonzero(rng.random(cfg.trials_per_setting) < p)
-        counts.append(int(hits))
+        counts.append(int(rng.binomial(cfg.trials_per_setting, p)))
     return tuple(counts)
 
 

@@ -240,6 +240,26 @@ class TestExitCodes:
         assert err.startswith("pathent: invalid configuration:")
         assert err.count("\n") == 1
 
+    def test_trials_beyond_int64_is_config_error(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["mc-bell", "--trials", "9223372036854775808", "--num-seeds", "2"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pathent: invalid configuration:")
+        assert err.count("\n") == 1
+
+    def test_huge_trial_count_runs(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["mc-bell", "--visibility", "0.9", "--trials", "1000000000000",
+             "--num-seeds", "2"],
+        )
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        assert len(rows) == 2
+        assert all(math.isfinite(float(value)) for row in rows for value in row)
+
     def test_invalid_eta_is_config_error(self, capsys):
         code, _, _ = run_capture(capsys, ["bell-test", "--eta", "0"])
         assert code == 3

@@ -2,9 +2,11 @@
 
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pathent.bell import ChSettings, bell_angle_settings, ch_statistic
 from pathent.correlations import (
@@ -14,7 +16,13 @@ from pathent.correlations import (
     Visibility,
     joint_probability_at_phase,
 )
-from pathent.montecarlo import McConfig, McEstimate, estimate_ch, simulate_counts
+from pathent.montecarlo import (
+    McConfig,
+    McEstimate,
+    _term_rng,
+    estimate_ch,
+    simulate_counts,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -91,6 +99,71 @@ class TestSimulateCounts:
         plain = McConfig(seed=7, trials_per_setting=1000, settings=settings)
         numpy = McConfig(seed=np.int64(7), trials_per_setting=np.uint32(1000), settings=settings)
         assert simulate_counts(numpy) == simulate_counts(plain)
+
+    @pytest.mark.parametrize("trials", [2**63, np.uint64(2**63), 10**30])
+    def test_config_rejects_trials_beyond_int64(self, trials):
+        # numpy's binomial sampler takes the sample size as a signed 64-bit integer.
+        with pytest.raises(ValueError, match="trials_per_setting"):
+            McConfig(seed=0, trials_per_setting=trials,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
+
+
+class TestBinomialDraws:
+    def test_memory_is_constant_in_trials(self):
+        # numpy reports its buffers to tracemalloc; n Bernoulli samples at
+        # this size would peak near 90 MB.
+        cfg = McConfig(seed=11, trials_per_setting=10**7,
+                       settings=bell_angle_settings(Visibility(v=0.9)))
+        tracemalloc.start()
+        try:
+            simulate_counts(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("n", [10**12, 2**63 - 1])
+    def test_huge_trial_counts_stay_in_range(self, n):
+        cfg = McConfig(seed=12, trials_per_setting=n,
+                       settings=bell_angle_settings(Visibility(v=0.9)))
+        counts = simulate_counts(cfg)
+        assert all(isinstance(count, int) and 0 <= count <= n for count in counts)
+
+    def test_counts_follow_binomial_law(self):
+        # Oracle: scipy's Binomial(n, p_i) pmf per term, chi-square
+        # goodness of fit over 2000 seeds; sparse tails are pooled so every
+        # bin expects at least 5 counts.
+        n, seeds = 50, range(2000)
+        settings = bell_angle_settings(Visibility(v=0.9))
+        probabilities = [
+            joint_probability_at_phase(delta, settings.v, settings.eta)
+            for delta in settings.phase_differences()
+        ]
+        per_seed = [
+            simulate_counts(McConfig(seed=seed, trials_per_setting=n, settings=settings))
+            for seed in seeds
+        ]
+        for term_index, p in enumerate(probabilities):
+            observed = np.bincount([counts[term_index] for counts in per_seed],
+                                   minlength=n + 1)
+            expected = len(seeds) * stats.binom.pmf(np.arange(n + 1), n, p)
+            # The pmf is unimodal, so the bins expecting >= 5 are one run
+            # lo..hi; the bins below lo join lo's and those above hi join hi's.
+            starts = np.r_[0, np.flatnonzero(expected >= 5.0)[1:]]
+            result = stats.chisquare(np.add.reduceat(observed, starts),
+                                     np.add.reduceat(expected, starts))
+            assert result.pvalue > 1e-3
+
+    def test_each_count_is_one_draw_from_its_substream(self):
+        n = 50
+        settings = bell_angle_settings(Visibility(v=0.9))
+        for seed in range(20):
+            counts = simulate_counts(
+                McConfig(seed=seed, trials_per_setting=n, settings=settings)
+            )
+            for term_index, delta in enumerate(settings.phase_differences()):
+                p = joint_probability_at_phase(delta, settings.v, settings.eta)
+                assert counts[term_index] == _term_rng(seed, term_index).binomial(n, p)
 
 
 class TestEstimateCh:
