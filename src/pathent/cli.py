@@ -10,11 +10,13 @@ path-check  consistency of the quantum-path model against the operator
             algebra, plus the Schmidt rank of the post-selected state
 
 A flat ``key = value`` config file (# comments allowed) can pre-set any
-option of the active command; explicit flags win over the file. Results are
-written as CSV with LF line endings to --output, or to stdout. Numbers carry
-17 significant digits so every field parses back to the exact computed
-value. Diagnostics go to stderr; exit status is 0 on success, 2 for usage
-errors, 3 for invalid configuration, 4 when the output cannot be written.
+option of the active command, keyed by its long flag name; explicit flags win
+over the file. Results are written as CSV with LF line endings to --output,
+or to stdout. Numbers carry 17 significant digits so every field parses back
+to the exact computed value. Diagnostics go to stderr; exit status is 0 on
+success, 2 for usage errors, 3 for invalid configuration (including an
+unreadable config file and a grid too large to allocate), 4 when the output
+cannot be written.
 """
 
 from __future__ import annotations
@@ -98,52 +100,35 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-# Option tables per command: config-file key -> converter from string.
-_COMMON: dict[str, Callable[[str], object]] = {"output": str}
-
-_OPTION_TYPES: dict[str, dict[str, Callable[[str], object]]] = {
-    "g2-scan": {
-        **_COMMON,
-        "kd": float,
-        "e0": float,
-        "visibility": float,
-        "eta": float,
-        "phi_start": float,
-        "phi_stop": float,
-        "points": int,
-        "xi_start": float,
-        "xi_stop": float,
-        "xi_ref": float,
-    },
-    "bell-test": {
-        **_COMMON,
-        "eta": float,
-        "v_grid": _parse_float_list,
-        "v_start": float,
-        "v_stop": float,
-        "v_points": int,
-    },
-    "mc-bell": {
-        **_COMMON,
-        "visibility": float,
-        "eta": float,
-        "trials": int,
-        "num_seeds": int,
-        "seed_start": int,
-    },
-    "path-check": {
-        **_COMMON,
-        "kd": float,
-        "e0": float,
-        "grid_points": int,
-    },
+#: Every option, keyed by its long flag with underscores: (converter, help).
+#: The converter reads both the flag and the config-file value.
+_OPTIONS: dict[str, tuple[Callable[[str], object], str]] = {
+    "output": (str, "output file (default: stdout)"),
+    "kd": (float, "emitter separation times wavenumber"),
+    "e0": (float, "field amplitude"),
+    "visibility": (float, "fringe visibility in [0, 1]"),
+    "eta": (float, "detection efficiency in (0, 1]"),
+    "phi_start": (float, "first phase difference"),
+    "phi_stop": (float, "last phase difference"),
+    "points": (int, "number of grid points"),
+    "xi_start": (float, "first detector angle (angle mode)"),
+    "xi_stop": (float, "last detector angle (angle mode)"),
+    "xi_ref": (float, "fixed reference detector angle"),
+    "v_grid": (_parse_float_list, "comma-separated visibilities"),
+    "v_start": (float, "first visibility"),
+    "v_stop": (float, "last visibility"),
+    "v_points": (int, "number of visibilities"),
+    "trials": (int, "trials per setting pair"),
+    "num_seeds": (int, "number of seeds"),
+    "seed_start": (int, "first seed"),
+    "grid_points": (int, "detector angles per axis"),
 }
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -160,21 +145,21 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (flags win) into a RunConfig."""
     command = args.command
-    types = _OPTION_TYPES[command]
+    _, _, keys = _COMMANDS[command]
     config = RunConfig(command=command)
 
     if args.config is not None:
         for key, raw_value in _read_config_file(args.config).items():
-            if key not in types:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
             try:
-                value = types[key](raw_value)
+                value = _OPTIONS[key][0](raw_value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
             setattr(config, key, value)
 
-    for key in types:
-        flag_value = getattr(args, key, None)
+    for key in keys:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             setattr(config, key, flag_value)
     return config
@@ -213,12 +198,12 @@ def _run_g2_scan(cfg: RunConfig) -> str:
     params: FieldParams = _domain(FieldParams, e0=cfg.e0)
     vis: Visibility = _domain(Visibility, v=cfg.visibility)
     eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
+    geometry: EmitterPair = _domain(EmitterPair, kd=cfg.kd)
+    det_ref: DetectorSetting = _domain(DetectorSetting, xi=cfg.xi_ref)
 
     if cfg.xi_start is not None or cfg.xi_stop is not None:
         if cfg.xi_start is None or cfg.xi_stop is None:
             raise ConfigError("angle mode needs both xi_start and xi_stop")
-        geometry: EmitterPair = _domain(EmitterPair, kd=cfg.kd)
-        det_ref: DetectorSetting = _domain(DetectorSetting, xi=cfg.xi_ref)
         xi = _linspace(cfg.xi_start, cfg.xi_stop, cfg.points, "xi", "points")
         det: DetectorSetting = _domain(DetectorSetting, xi=xi)
         delta = phase_difference(geometry, det_ref, det)
@@ -298,11 +283,18 @@ def _run_path_check(cfg: RunConfig) -> str:
     return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"
 
 
-_RUNNERS: dict[str, Callable[[RunConfig], str]] = {
-    "g2-scan": _run_g2_scan,
-    "bell-test": _run_bell_test,
-    "mc-bell": _run_mc_bell,
-    "path-check": _run_path_check,
+#: Every command: (help, runner, its option keys in --help order). A config
+#: file may set exactly the keys of the command's own flags.
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], str], tuple[str, ...]]] = {
+    "g2-scan": ("scan the coincidence fringe", _run_g2_scan, (
+        "output", "kd", "e0", "visibility", "eta", "phi_start", "phi_stop", "points",
+        "xi_start", "xi_stop", "xi_ref")),
+    "bell-test": ("CH74 margin over a visibility grid", _run_bell_test, (
+        "output", "eta", "v_grid", "v_start", "v_stop", "v_points")),
+    "mc-bell": ("Monte Carlo CH74 estimates", _run_mc_bell, (
+        "output", "visibility", "eta", "trials", "num_seeds", "seed_start")),
+    "path-check": ("path model vs operator algebra", _run_path_check, (
+        "output", "kd", "e0", "grid_points")),
 }
 
 
@@ -312,46 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-emitter photon correlations, CH74 Bell tests and the quantum-path model.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, (command_help, _, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("-o", "--output", help="output file (default: stdout)")
-
-    p = sub.add_parser("g2-scan", help="scan the coincidence fringe")
-    add_common(p)
-    p.add_argument("--kd", type=float, help="emitter separation times wavenumber")
-    p.add_argument("--e0", type=float, help="field amplitude")
-    p.add_argument("--visibility", type=float, help="fringe visibility in [0, 1]")
-    p.add_argument("--eta", type=float, help="detection efficiency in (0, 1]")
-    p.add_argument("--phi-start", type=float, dest="phi_start", help="first phase difference")
-    p.add_argument("--phi-stop", type=float, dest="phi_stop", help="last phase difference")
-    p.add_argument("--points", type=int, help="number of grid points")
-    p.add_argument("--xi-start", type=float, dest="xi_start", help="first detector angle (angle mode)")
-    p.add_argument("--xi-stop", type=float, dest="xi_stop", help="last detector angle (angle mode)")
-    p.add_argument("--xi-ref", type=float, dest="xi_ref", help="fixed reference detector angle")
-
-    p = sub.add_parser("bell-test", help="CH74 margin over a visibility grid")
-    add_common(p)
-    p.add_argument("--eta", type=float, help="detection efficiency in (0, 1]")
-    p.add_argument("--v-grid", type=_parse_float_list, dest="v_grid", help="comma-separated visibilities")
-    p.add_argument("--v-start", type=float, dest="v_start", help="first visibility")
-    p.add_argument("--v-stop", type=float, dest="v_stop", help="last visibility")
-    p.add_argument("--v-points", type=int, dest="v_points", help="number of visibilities")
-
-    p = sub.add_parser("mc-bell", help="Monte Carlo CH74 estimates")
-    add_common(p)
-    p.add_argument("--visibility", type=float, help="fringe visibility in [0, 1]")
-    p.add_argument("--eta", type=float, help="detection efficiency in (0, 1]")
-    p.add_argument("--trials", type=int, help="trials per setting pair")
-    p.add_argument("--num-seeds", type=int, dest="num_seeds", help="number of seeds")
-    p.add_argument("--seed-start", type=int, dest="seed_start", help="first seed")
-
-    p = sub.add_parser("path-check", help="path model vs operator algebra")
-    add_common(p)
-    p.add_argument("--kd", type=float, help="emitter separation times wavenumber")
-    p.add_argument("--e0", type=float, help="field amplitude")
-    p.add_argument("--grid-points", type=int, dest="grid_points", help="detector angles per axis")
-
+        for key in keys:
+            converter, option_help = _OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            flags = ("-o", flag) if key == "output" else (flag,)
+            p.add_argument(*flags, type=converter, help=option_help)
     return parser
 
 
@@ -374,8 +334,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     try:
         config = _build_config(args)
-        text = _RUNNERS[config.command](config)
-    except ConfigError as exc:
+        _, runner, _ = _COMMANDS[config.command]
+        text = runner(config)
+    except (ConfigError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         print(f"pathent: invalid configuration: {exc}", file=sys.stderr)
         return 3
 

@@ -120,9 +120,6 @@ def conditional_probability(
     eff: Efficiency,
 ) -> float:
     """Probability of a photon at det2_given once another was seen at det1."""
-    marginal = marginal_probability(eff, params)
-    if marginal <= 0.0:
-        raise ZeroDivisionError("marginal detection probability must be positive")
     delta = phase_difference(geometry, det1, det2_given)
     return conditional_probability_at_phase(delta, vis, eff)
 

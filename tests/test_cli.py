@@ -1,5 +1,6 @@
 """CLI behavior: golden outputs, config merging, exit codes, determinism."""
 
+import argparse
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from pathent.bell import bell_angle_settings, ch_statistic
 from pathent.correlations import Efficiency, Visibility
 from pathent.geometry import DetectorSetting, EmitterPair, phase_difference
 from pathent.montecarlo import McConfig, estimate_ch
-from pathent.cli import run
+from pathent.cli import build_parser, run
 
 SQRT2 = math.sqrt(2.0)
 
@@ -189,6 +190,15 @@ class TestConfigFile:
         )
         assert code == 3
 
+    def test_non_utf8_file_rejected(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"points = 2\n\xff\n")
+        code, out, err = run_capture(capsys, ["g2-scan", "--config", str(config)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pathent: invalid configuration: cannot read config file")
+        assert err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
@@ -240,6 +250,36 @@ class TestExitCodes:
         assert err.startswith("pathent: invalid configuration:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g2-scan", "--points", "1000000000000000"],
+            ["bell-test", "--v-points", "1000000000000000"],
+            ["path-check", "--grid-points", "1000000000000000"],
+        ],
+    )
+    def test_unallocatable_grid_is_config_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pathent: invalid configuration:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g2-scan", "--kd", "nan", "--points", "2"],
+            ["g2-scan", "--kd", "-1", "--xi-ref", "9", "--points", "2"],
+            ["g2-scan", "--xi-ref", "9", "--points", "2"],
+        ],
+    )
+    def test_phase_mode_validates_kd_and_xi_ref(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pathent: invalid configuration:")
+        assert err.count("\n") == 1
+
     def test_trials_beyond_int64_is_config_error(self, capsys):
         code, out, err = run_capture(
             capsys, ["mc-bell", "--trials", "9223372036854775808", "--num-seeds", "2"]
@@ -274,6 +314,79 @@ class TestExitCodes:
         code, out, _ = run_capture(capsys, ["--help"])
         assert code == 0
         assert "g2-scan" in out
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _long_options(subparser):
+    """Long option names of a command, without ``--``, except --help and --config."""
+    return [
+        flag[2:]
+        for action in subparser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--help", "--config")
+    ]
+
+
+#: A valid value for every option key; a new option must be added here.
+_SAMPLE_VALUES = {
+    "kd": "7.5", "e0": "1.25", "visibility": "0.8", "eta": "0.9",
+    "phi-start": "-1", "phi-stop": "2", "points": "7",
+    "xi-start": "-0.5", "xi-stop": "0.25", "xi-ref": "0.1",
+    "v-grid": "0.25,0.75,1", "v-start": "0.5", "v-stop": "0.9", "v-points": "4",
+    "trials": "300", "num-seeds": "3", "seed-start": "7", "grid-points": "6",
+}
+
+#: Flags that must accompany an option for the command to run.
+_COMPANION_FLAGS = {"xi-start": ["--xi-stop", "0.5"], "xi-stop": ["--xi-start", "-0.5"]}
+
+
+class TestFlagConfigParity:
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_every_long_option_is_a_config_key(self, capsys, tmp_path, command):
+        options = _long_options(_subparsers()[command])
+        assert "output" in options
+        config = tmp_path / "run.cfg"
+        for option in options:
+            if option == "output":
+                flag_file, config_file = tmp_path / "flag.csv", tmp_path / "config.csv"
+                flag_run = run_capture(capsys, [command, "-o", str(flag_file)])
+                config.write_text(f"output = {config_file}\n")
+                config_run = run_capture(capsys, [command, "--config", str(config)])
+                assert flag_run == config_run == (0, "", "")
+                assert flag_file.read_bytes() == config_file.read_bytes()
+                continue
+            extra = _COMPANION_FLAGS.get(option, [])
+            value = _SAMPLE_VALUES[option]
+            flag_run = run_capture(capsys, [command, f"--{option}", value, *extra])
+            config.write_text(f"{option} = {value}\n")
+            config_run = run_capture(capsys, [command, "--config", str(config), *extra])
+            assert flag_run[0] == 0, (option, flag_run[2])
+            assert config_run == flag_run, option
+
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_other_commands_keys_are_rejected(self, capsys, tmp_path, command):
+        subparsers = _subparsers()
+        own = set(_long_options(subparsers[command]))
+        foreign = {
+            option
+            for other, subparser in subparsers.items()
+            if other != command
+            for option in _long_options(subparser)
+        } - own
+        assert foreign
+        config = tmp_path / "run.cfg"
+        for option in sorted(foreign):
+            for key in (option, option.replace("-", "_")):
+                config.write_text(f"{key} = {_SAMPLE_VALUES[option]}\n")
+                code, out, err = run_capture(capsys, [command, "--config", str(config)])
+                assert code == 3, key
+                assert out == ""
+                assert "unknown config key" in err
 
 
 class TestDeterminism:
