@@ -26,13 +26,10 @@ from .correlations import (
     UNIT_EFFICIENCY,
     UNIT_VISIBILITY,
     Visibility,
-    conditional_probability,
     conditional_probability_at_phase,
     fringe,
     g1,
-    g2,
     g2_at_phase,
-    joint_probability,
     joint_probability_at_phase,
     marginal_probability,
 )
@@ -90,7 +87,6 @@ __all__ = [
     "apply_field_negative",
     "bell_angle_settings",
     "ch_statistic",
-    "conditional_probability",
     "conditional_probability_at_phase",
     "critical_visibility",
     "detector_for_phase",
@@ -98,10 +94,8 @@ __all__ = [
     "final_amplitude",
     "fringe",
     "g1",
-    "g2",
     "g2_at_phase",
     "g2_path",
-    "joint_probability",
     "joint_probability_at_phase",
     "lowering",
     "marginal_probability",

@@ -10,12 +10,13 @@ with V in [0, 1] the fringe visibility. Detection probabilities follow by
 scaling with a single efficiency eta: P(r1) = eta, P12 = (eta^2/E0^4) * G2,
 and the conditional probability P(r2|r1) = P12 / P(r1).
 
-``g2``, ``conditional_probability`` and ``joint_probability`` take a detector
-pair and convert it to a phase difference; each has an ``*_at_phase``
-companion taking the phase difference directly. ``g1`` and
-``marginal_probability`` are position-free and have none. ``fringe`` and the
-``*_at_phase`` functions broadcast over numpy arrays of phase differences and
-of visibilities, a scalar being the 0-d case.
+The position-dependent quantities take the phase difference
+phi(r2) - phi(r1), through which alone they depend on the detectors; for a
+detector pair, pass ``phase_difference(geometry, det1, det2)`` from the
+``geometry`` module. ``g1`` and ``marginal_probability`` are position-free
+and take no detector. ``fringe`` and the ``*_at_phase`` functions broadcast
+over numpy arrays of phase differences and of visibilities, a scalar being
+the 0-d case.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DetectorSetting, EmitterPair, phase_difference
 from .quantum_core import FieldParams
 
 
@@ -68,12 +68,8 @@ def fringe(delta_phi: float | np.ndarray, vis: Visibility) -> float | np.ndarray
     return 1.0 + vis.v * np.cos(delta_phi)
 
 
-def g1(params: FieldParams, detector: DetectorSetting | None = None) -> float:
-    """First-order correlation function, E0^2 at every detector position.
-
-    The detector argument is accepted (and ignored) to make the position
-    independence directly exercisable.
-    """
+def g1(params: FieldParams) -> float:
+    """First-order correlation function, E0^2 at every detector position."""
     return params.e0**2
 
 
@@ -84,22 +80,7 @@ def g2_at_phase(
     return 0.5 * params.e0**4 * fringe(delta_phi, vis)
 
 
-def g2(
-    geometry: EmitterPair,
-    det1: DetectorSetting,
-    det2: DetectorSetting,
-    params: FieldParams,
-    vis: Visibility,
-) -> float:
-    """Second-order correlation function for a detector pair."""
-    return g2_at_phase(phase_difference(geometry, det1, det2), params, vis)
-
-
-def marginal_probability(
-    eff: Efficiency,
-    params: FieldParams,
-    detector: DetectorSetting | None = None,
-) -> float:
+def marginal_probability(eff: Efficiency) -> float:
     """Probability of a single detection: (eta/E0^2)*G1 = eta, position-free."""
     return eff.eta
 
@@ -111,19 +92,6 @@ def conditional_probability_at_phase(
     return eff.eta * (0.5 * fringe(delta_phi, vis))
 
 
-def conditional_probability(
-    geometry: EmitterPair,
-    det2_given: DetectorSetting,
-    det1: DetectorSetting,
-    params: FieldParams,
-    vis: Visibility,
-    eff: Efficiency,
-) -> float:
-    """Probability of a photon at det2_given once another was seen at det1."""
-    delta = phase_difference(geometry, det1, det2_given)
-    return conditional_probability_at_phase(delta, vis, eff)
-
-
 def joint_probability_at_phase(
     delta_phi: float | np.ndarray, vis: Visibility, eff: Efficiency
 ) -> float | np.ndarray:
@@ -133,16 +101,3 @@ def joint_probability_at_phase(
     """
     return eff.eta * conditional_probability_at_phase(delta_phi, vis, eff)
 
-
-def joint_probability(
-    geometry: EmitterPair,
-    det1: DetectorSetting,
-    det2: DetectorSetting,
-    params: FieldParams,
-    vis: Visibility,
-    eff: Efficiency,
-) -> float:
-    """Coincidence probability (eta^2/E0^4)*G2 for a detector pair."""
-    return joint_probability_at_phase(
-        phase_difference(geometry, det1, det2), vis, eff
-    )

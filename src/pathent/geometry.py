@@ -27,8 +27,8 @@ class EmitterPair:
     kd: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.kd):
-            raise ValueError(f"kd must be finite, got {self.kd!r}")
+        if not math.isfinite(2.0 * self.kd):  # 2*kd bounds every phase difference
+            raise ValueError(f"kd must be finite with 2*kd finite, got {self.kd!r}")
         if self.kd <= 0:
             raise ValueError(f"kd must be positive, got {self.kd!r}")
 

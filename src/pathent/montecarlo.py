@@ -54,6 +54,10 @@ class McConfig:
                 f"trials_per_setting must lie in [1, 2**63 - 1], "
                 f"got {self.trials_per_setting!r}"
             )
+        if star_probability(self.settings.eta) == 0.0:  # the estimator divides by it
+            raise ValueError(
+                f"eta^2 must not underflow to 0, got eta = {self.settings.eta.eta!r}"
+            )
 
 
 @dataclass(frozen=True)

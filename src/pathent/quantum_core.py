@@ -17,6 +17,7 @@ broadcast over arrays of detector angles; a scalar state is the 0-d case.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,8 @@ from .geometry import DetectorSetting, EmitterPair, phase_at
 
 _SQRT2 = math.sqrt(2.0)
 NORMALIZATION_TOL = 1e-12
+#: Exclusive upper bound on e0: the G2 scale e0**4 overflows from here on.
+_E0_LIMIT = sys.float_info.max ** 0.25
 
 
 class Atom(Enum):
@@ -50,8 +53,10 @@ class FieldParams:
     e0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.e0) or self.e0 <= 0:
-            raise ValueError(f"e0 must be positive and finite, got {self.e0!r}")
+        if not 0 < self.e0 < _E0_LIMIT:  # False for NaN
+            raise ValueError(
+                f"e0 must lie in (0, {_E0_LIMIT!r}) so that e0**4 is finite, got {self.e0!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,6 @@ class AtomicState:
             amp_ge=_product(factor, self.amp_ge),
             amp_gg=_product(factor, self.amp_gg),
         )
-
-    def __mul__(self, factor: complex) -> "AtomicState":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
 
 
 def lowering(atom: Atom, state: AtomicState) -> AtomicState:

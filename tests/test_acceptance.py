@@ -20,7 +20,7 @@ from pathent.correlations import (
     g2_at_phase,
     marginal_probability,
 )
-from pathent.geometry import DetectorSetting
+from pathent.geometry import DetectorSetting, EmitterPair
 from pathent.montecarlo import McConfig, estimate_ch
 from pathent.pathmodel import (
     DETECTOR_BIPARTITION,
@@ -32,7 +32,7 @@ from pathent.pathmodel import (
     schmidt_coefficients,
     schmidt_rank,
 )
-from pathent.quantum_core import FieldParams
+from pathent.quantum_core import AtomicState, FieldParams, apply_field_negative
 
 SQRT2 = math.sqrt(2.0)
 
@@ -166,7 +166,8 @@ def test_criterion_9_first_order_constancy():
         eff = Efficiency(eta=0.8)
         rng = np.random.default_rng(99)
         detectors = [DetectorSetting(xi=float(x)) for x in rng.uniform(-math.pi / 2, math.pi / 2, 50)]
-        g1_values = {g1(params, det) for det in detectors}
-        marginal_values = {marginal_probability(eff, params, det) for det in detectors}
-        assert g1_values == {g1(params)}
-        assert marginal_values == {marginal_probability(eff, params)}
+        geometry, excited = EmitterPair(kd=4 * math.pi), AtomicState.excited()
+        for det in detectors:
+            signal = apply_field_negative(geometry, det, params, excited).norm_squared
+            assert abs(signal - g1(params)) < 1e-12
+            assert abs(eff.eta * signal / g1(params) - marginal_probability(eff)) < 1e-12

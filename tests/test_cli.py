@@ -1,9 +1,15 @@
 """CLI behavior: golden outputs, config merging, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pathent.bell import bell_angle_settings, ch_statistic
 from pathent.correlations import Efficiency, Visibility
@@ -12,6 +18,7 @@ from pathent.montecarlo import McConfig, estimate_ch
 from pathent.cli import build_parser, run
 
 SQRT2 = math.sqrt(2.0)
+HALF_PI = math.pi / 2
 
 
 def run_capture(capsys, argv):
@@ -24,6 +31,24 @@ def csv_rows(text):
     lines = text.splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def output_numbers(text):
+    """Every numeric output field as {(row, column name): value}.
+
+    Reads the CSV of g2-scan, bell-test and mc-bell and the ``key=value``
+    line of path-check; the true/false ``violated`` column is skipped.
+    """
+    if text.startswith("max_abs_deviation="):
+        pairs = [field.split("=") for field in text.split()]
+        return {(0, key): float(value) for key, value in pairs}
+    header, rows = csv_rows(text)
+    return {
+        (index, name): float(value)
+        for index, row in enumerate(rows)
+        for name, value in zip(header, row)
+        if name != "violated"
+    }
 
 
 class TestBellTestCommand:
@@ -280,6 +305,40 @@ class TestExitCodes:
         assert err.startswith("pathent: invalid configuration:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g2-scan", "--e0", "1e100", "--points", "3"],
+            ["path-check", "--e0", "1e100", "--grid-points", "3"],
+            ["g2-scan", "--kd", "1e308", "--xi-start", repr(HALF_PI), "--xi-stop",
+             repr(HALF_PI), f"--xi-ref={-HALF_PI!r}", "--points", "2"],
+            ["path-check", "--kd", "1e308", "--grid-points", "3"],
+            ["mc-bell", "--eta", "1e-300", "--trials", "10", "--num-seeds", "1"],
+            ["mc-bell", "--eta", "1e-170", "--trials", "1000"],
+        ],
+    )
+    def test_overflowing_e0_kd_and_eta_are_config_errors(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pathent: invalid configuration:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["g2-scan", "--e0", "1.15e77", "--points", "3"],
+            ["path-check", "--e0", "1.15e77", "--grid-points", "3"],
+            ["g2-scan", "--kd", "8.9e307", "--xi-start", repr(HALF_PI), "--xi-stop",
+             repr(HALF_PI), f"--xi-ref={-HALF_PI!r}", "--points", "2"],
+            ["path-check", "--kd", "8.9e307", "--grid-points", "3"],
+        ],
+    )
+    def test_largest_e0_and_kd_run(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 0 and err == ""
+        assert all(math.isfinite(value) for value in output_numbers(out).values())
+
     def test_trials_beyond_int64_is_config_error(self, capsys):
         code, out, err = run_capture(
             capsys, ["mc-bell", "--trials", "9223372036854775808", "--num-seeds", "2"]
@@ -418,3 +477,75 @@ class TestDeterminism:
         code, out, _ = run_capture(capsys, ["g2-scan", "--points", "5"])
         assert code == 0
         assert out == path.read_text()
+
+
+_EXTREMES = [0.0, -1.0, 1e-300, -1e-300, 5e-324, 1e300, 1e308, -1e308,
+             math.nan, math.inf, -math.inf, HALF_PI, -HALF_PI]
+_FUZZ_FLOATS = (st.sampled_from(_EXTREMES) | st.floats(0.0, 1.0) | st.floats(-10.0, 10.0)
+                | st.floats())
+_FUZZ_VALUES = {
+    "kd": _FUZZ_FLOATS, "e0": _FUZZ_FLOATS, "visibility": _FUZZ_FLOATS,
+    "eta": _FUZZ_FLOATS, "phi_start": _FUZZ_FLOATS, "phi_stop": _FUZZ_FLOATS,
+    "points": st.integers(-1, 50), "xi_start": _FUZZ_FLOATS,
+    "xi_stop": _FUZZ_FLOATS, "xi_ref": _FUZZ_FLOATS,
+    "v_grid": st.lists(_FUZZ_FLOATS, min_size=1, max_size=5).map(tuple),
+    "v_start": _FUZZ_FLOATS, "v_stop": _FUZZ_FLOATS, "v_points": st.integers(-1, 50),
+    "trials": st.integers(-1, 2**63 - 1), "num_seeds": st.integers(-1, 3),
+    "seed_start": st.integers(-2, 2**64 + 1), "grid_points": st.integers(-1, 50),
+}
+
+
+def _text(value):
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+@st.composite
+def cli_cases(draw):
+    """A command, values for some of its options, and which go in the config file."""
+    command = draw(st.sampled_from(sorted(_subparsers())))
+    keys = [option.replace("-", "_") for option in _long_options(_subparsers()[command])]
+    chosen = draw(st.lists(st.sampled_from([k for k in keys if k != "output"]), unique=True))
+    options = {key: draw(_FUZZ_VALUES[key]) for key in chosen}
+    in_config = draw(st.sets(st.sampled_from(chosen))) if chosen else set()
+    return command, options, in_config
+
+
+def run_case(command, options, in_config):
+    """Exit code, stdout and stderr of the CLI, each option as a flag or a config key."""
+    argv = [command]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if in_config:
+            config = Path(tmp) / "run.cfg"
+            config.write_text("".join(f"{key} = {_text(options[key])}\n" for key in in_config))
+            argv += ["--config", str(config)]
+        argv += [f"--{key.replace('_', '-')}={_text(value)}"
+                 for key, value in options.items() if key not in in_config]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+    # outside the test runner a warning is printed to stderr
+    err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(case=cli_cases())
+    @example(case=("g2-scan", {"e0": 1e100, "points": 3}, set()))
+    @example(case=("path-check", {"e0": 1e100, "grid_points": 3}, {"e0"}))
+    @example(case=("g2-scan", {"kd": 1e308, "xi_start": HALF_PI, "xi_stop": HALF_PI,
+                               "xi_ref": -HALF_PI, "points": 2}, {"xi_ref"}))
+    @example(case=("path-check", {"kd": 1e308, "grid_points": 3}, set()))
+    @example(case=("mc-bell", {"eta": 1e-300, "trials": 10, "num_seeds": 1}, set()))
+    @example(case=("mc-bell", {"eta": 1e-170, "trials": 1000}, {"trials"}))
+    def test_any_options_give_a_documented_exit(self, case):
+        code, out, err = run_case(*case)
+        assert code in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+            for (row, name), value in output_numbers(out).items():
+                # an exact estimate with zero standard error is +-inf sigma by design
+                assert math.isfinite(value) or name == "sigma_violation", (row, name, value)

@@ -18,9 +18,7 @@ from pathent.correlations import (
     Efficiency,
     UNIT_VISIBILITY,
     Visibility,
-    g2,
     g2_at_phase,
-    joint_probability,
     joint_probability_at_phase,
 )
 from pathent.geometry import DetectorSetting, EmitterPair, phase_at, phase_difference
@@ -46,8 +44,8 @@ def reference_g2_scan(cfg):
             det = DetectorSetting(xi=float(xi))
             delta = phase_difference(geometry, det_ref, det)
             rows.append(
-                f"{_fmt(delta)},{_fmt(g2(geometry, det_ref, det, params, vis))},"
-                f"{_fmt(joint_probability(geometry, det_ref, det, params, vis, eff))}"
+                f"{_fmt(delta)},{_fmt(g2_at_phase(delta, params, vis))},"
+                f"{_fmt(joint_probability_at_phase(delta, vis, eff))}"
             )
     else:
         for delta in np.linspace(cfg.phi_start, cfg.phi_stop, cfg.points):

@@ -1,6 +1,7 @@
 """Far-field phase geometry: examples, inversion round trip, symmetries."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,6 +97,16 @@ class TestValidation:
     def test_bad_kd(self, kd):
         with pytest.raises(ValueError):
             EmitterPair(kd=kd)
+
+    @pytest.mark.parametrize("kd", [1e308, math.nextafter(sys.float_info.max / 2, math.inf)])
+    def test_kd_whose_double_overflows_rejected(self, kd):
+        # 2*kd bounds |phase difference|; beyond it the fringe reads inf/NaN.
+        with pytest.raises(ValueError, match="2\\*kd"):
+            EmitterPair(kd=kd)
+
+    def test_largest_kd_allowed(self):
+        EmitterPair(kd=8.9e307)
+        EmitterPair(kd=sys.float_info.max / 2)
 
     @pytest.mark.parametrize("xi", [2.0, -2.0, math.inf, math.nan])
     def test_bad_xi(self, xi):

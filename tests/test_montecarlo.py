@@ -100,6 +100,18 @@ class TestSimulateCounts:
         numpy = McConfig(seed=np.int64(7), trials_per_setting=np.uint32(1000), settings=settings)
         assert simulate_counts(numpy) == simulate_counts(plain)
 
+    @pytest.mark.parametrize("eta", [1e-300, 1e-170, 5e-324])
+    def test_config_rejects_eta_squared_underflow(self, eta):
+        # estimate_ch divides by eta^2.
+        settings = bell_angle_settings(UNIT_VISIBILITY, Efficiency(eta=eta))
+        with pytest.raises(ValueError, match="eta"):
+            McConfig(seed=0, trials_per_setting=10, settings=settings)
+
+    def test_smallest_eta_estimates(self):
+        settings = bell_angle_settings(UNIT_VISIBILITY, Efficiency(eta=1e-160))
+        estimate = estimate_ch(McConfig(seed=0, trials_per_setting=10, settings=settings))
+        assert estimate.statistic_hat == -2.0
+
     @pytest.mark.parametrize("trials", [2**63, np.uint64(2**63), 10**30])
     def test_config_rejects_trials_beyond_int64(self, trials):
         # numpy's binomial sampler takes the sample size as a signed 64-bit integer.

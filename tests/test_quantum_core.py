@@ -1,13 +1,19 @@
 """Two-atom operator algebra: lowering, field operator, two-photon amplitude."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pathent.correlations import UNIT_VISIBILITY, g2
-from pathent.geometry import DetectorSetting, EmitterPair, detector_for_phase
+from pathent.correlations import UNIT_VISIBILITY, g2_at_phase
+from pathent.geometry import (
+    DetectorSetting,
+    EmitterPair,
+    detector_for_phase,
+    phase_difference,
+)
 from pathent.quantum_core import (
     Atom,
     AtomicState,
@@ -107,8 +113,9 @@ class TestTwoPhotonAmplitude:
             for phi2 in np.linspace(-2 * math.pi, 2 * math.pi, 10):
                 d1, d2 = det_at_phase(phi1), det_at_phase(phi2)
                 squared = abs(two_photon_amplitude(GEOMETRY, d1, d2, params)) ** 2
+                delta = phase_difference(GEOMETRY, d1, d2)
                 assert squared == pytest.approx(
-                    g2(GEOMETRY, d1, d2, params, UNIT_VISIBILITY), abs=1e-12
+                    g2_at_phase(delta, params, UNIT_VISIBILITY), abs=1e-12
                 )
 
     def test_equals_composition_of_field_operators(self):
@@ -147,3 +154,14 @@ class TestAtomicState:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 FieldParams(e0=bad)
+
+    @pytest.mark.parametrize("e0", [1e100, sys.float_info.max ** 0.25])
+    def test_field_params_rejects_e0_whose_fourth_power_overflows(self, e0):
+        # Python's float ** raises OverflowError rather than returning inf.
+        with pytest.raises(ValueError, match="e0\\*\\*4"):
+            FieldParams(e0=e0)
+
+    def test_largest_e0_allowed(self):
+        largest = math.nextafter(sys.float_info.max ** 0.25, 0.0)
+        for e0 in (1.15e77, largest):
+            assert math.isfinite(FieldParams(e0=e0).e0 ** 4)
