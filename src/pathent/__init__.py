@@ -18,7 +18,6 @@ from .bell import (
     bell_angle_settings,
     ch_statistic,
     critical_visibility,
-    scan,
     star_probability,
 )
 from .correlations import (
@@ -102,7 +101,6 @@ __all__ = [
     "phase_at",
     "phase_difference",
     "postselected_state",
-    "scan",
     "schmidt_coefficients",
     "schmidt_rank",
     "simulate_counts",

@@ -21,8 +21,9 @@ raw probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
+
+import numpy as np
 
 from .correlations import (
     Efficiency,
@@ -43,22 +44,23 @@ class ChSettings:
     """Four detector phases plus visibility and efficiency for one CH74 run.
 
     phi1/phi1_prime are the two settings of the first detector, phi2/phi2_prime
-    those of the second.
+    those of the second. Each phase is a scalar or an array of phases, each of
+    which is validated.
     """
 
-    phi1: float
-    phi1_prime: float
-    phi2: float
-    phi2_prime: float
+    phi1: float | np.ndarray
+    phi1_prime: float | np.ndarray
+    phi2: float | np.ndarray
+    phi2_prime: float | np.ndarray
     v: Visibility
     eta: Efficiency
 
     def __post_init__(self) -> None:
         for name in ("phi1", "phi1_prime", "phi2", "phi2_prime"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
-    def phase_differences(self) -> tuple[float, float, float, float]:
+    def phase_differences(self) -> tuple[float | np.ndarray, ...]:
         """Signed differences entering the four non-star terms."""
         return (
             self.phi2 - self.phi1,
@@ -77,8 +79,8 @@ class ChResult:
     statistic bit-identical across efficiencies and exactly recomputable.
     ``statistic`` is the normalized upper-bound margin (violation iff > 0)
     and ``lower_margin`` the normalized headroom above the -P(*,*) bound.
-    For an array of visibilities, the four setting-dependent terms, the two
-    margins and ``violated`` are arrays over it.
+    For array phases or visibilities, the four setting-dependent terms, the
+    two margins and ``violated`` are arrays over their broadcast shape.
     """
 
     statistic: float
@@ -118,8 +120,10 @@ def ch_statistic(settings: ChSettings) -> ChResult:
     The four setting-dependent terms follow the coincidence law at the
     settings' visibility; the two star terms are the exact constants of the
     single-mode-fiber reference, not simulated quantities. Terms are
-    evaluated at unit efficiency so eta cancels identically. An array
-    visibility in the settings evaluates every contrast in one pass.
+    evaluated at unit efficiency so eta cancels identically. Array phases and
+    an array visibility in the settings broadcast against each other, so a
+    grid of settings and contrasts is evaluated in one pass; each element
+    equals, bit for bit, the scalar call on that element.
     """
     u = [
         joint_probability_at_phase(delta, settings.v, UNIT_EFFICIENCY)
@@ -159,23 +163,3 @@ def critical_visibility() -> float:
     """Visibility 1/sqrt(2) at which the upper-bound margin crosses zero."""
     return 1.0 / math.sqrt(2.0)
 
-
-def scan(
-    v_grid: Iterable[Visibility],
-    settings_grid: Iterable[ChSettings],
-) -> list[ChResult]:
-    """Evaluate ch_statistic on every (visibility, settings) pair.
-
-    Rows are ordered with the visibility as the outer loop and the settings
-    as the inner loop; each settings tuple is re-evaluated at the grid
-    visibility.
-    """
-    v_list = list(v_grid)
-    s_list = list(settings_grid)
-    if not v_list or not s_list:
-        raise ValueError("scan grids must be nonempty")
-    return [
-        ch_statistic(replace(settings, v=vis))
-        for vis in v_list
-        for settings in s_list
-    ]

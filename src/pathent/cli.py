@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -38,7 +38,7 @@ from .correlations import (
     g2_at_phase,
     joint_probability_at_phase,
 )
-from .geometry import DetectorSetting, EmitterPair, phase_at, phase_difference
+from .geometry import DetectorSetting, EmitterPair, HALF_PI, phase_at, phase_difference
 from .montecarlo import McConfig, estimate_ch
 from .pathmodel import (
     DETECTOR_BIPARTITION,
@@ -49,7 +49,6 @@ from .pathmodel import (
 from .quantum_core import FieldParams, two_photon_amplitude
 
 TWO_PI = 2.0 * math.pi
-HALF_PI = math.pi / 2
 
 
 class ConfigError(ValueError):
@@ -58,32 +57,6 @@ class ConfigError(ValueError):
     Subclasses ValueError so argparse treats it as a normal conversion
     failure (usage error) when raised inside a flag's type callable.
     """
-
-
-@dataclass
-class RunConfig:
-    """Fully merged and type-checked options for one command invocation."""
-
-    command: str
-    output: str | None = None
-    kd: float = TWO_PI
-    e0: float = 1.0
-    visibility: float = 1.0
-    eta: float = 1.0
-    phi_start: float = 0.0
-    phi_stop: float = TWO_PI
-    points: int = 100
-    xi_start: float | None = None
-    xi_stop: float | None = None
-    xi_ref: float = 0.0
-    v_grid: tuple[float, ...] | None = None
-    v_start: float = 0.0
-    v_stop: float = 1.0
-    v_points: int = 101
-    trials: int = 1_000_000
-    num_seeds: int = 20
-    seed_start: int = 0
-    grid_points: int = 100
 
 
 def _fmt(value: float) -> str:
@@ -100,29 +73,35 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-#: Every option, keyed by its long flag with underscores: (converter, help).
-#: The converter reads both the flag and the config-file value.
-_OPTIONS: dict[str, tuple[Callable[[str], object], str]] = {
-    "output": (str, "output file (default: stdout)"),
-    "kd": (float, "emitter separation times wavenumber"),
-    "e0": (float, "field amplitude"),
-    "visibility": (float, "fringe visibility in [0, 1]"),
-    "eta": (float, "detection efficiency in (0, 1]"),
-    "phi_start": (float, "first phase difference"),
-    "phi_stop": (float, "last phase difference"),
-    "points": (int, "number of grid points"),
-    "xi_start": (float, "first detector angle (angle mode)"),
-    "xi_stop": (float, "last detector angle (angle mode)"),
-    "xi_ref": (float, "fixed reference detector angle"),
-    "v_grid": (_parse_float_list, "comma-separated visibilities"),
-    "v_start": (float, "first visibility"),
-    "v_stop": (float, "last visibility"),
-    "v_points": (int, "number of visibilities"),
-    "trials": (int, "trials per setting pair"),
-    "num_seeds": (int, "number of seeds"),
-    "seed_start": (int, "first seed"),
-    "grid_points": (int, "detector angles per axis"),
+#: Every option, keyed by its long flag with underscores: (converter, default,
+#: help). The converter reads both the flag and the config-file value.
+_OPTIONS: dict[str, tuple[Callable[[str], object], object, str]] = {
+    "output": (str, None, "output file (default: stdout)"),
+    "kd": (float, TWO_PI, "emitter separation times wavenumber"),
+    "e0": (float, 1.0, "field amplitude"),
+    "visibility": (float, 1.0, "fringe visibility in [0, 1]"),
+    "eta": (float, 1.0, "detection efficiency in (0, 1]"),
+    "phi_start": (float, 0.0, "first phase difference"),
+    "phi_stop": (float, TWO_PI, "last phase difference"),
+    "points": (int, 100, "number of grid points"),
+    "xi_start": (float, None, "first detector angle (angle mode)"),
+    "xi_stop": (float, None, "last detector angle (angle mode)"),
+    "xi_ref": (float, 0.0, "fixed reference detector angle"),
+    "v_grid": (_parse_float_list, None, "comma-separated visibilities"),
+    "v_start": (float, 0.0, "first visibility"),
+    "v_stop": (float, 1.0, "last visibility"),
+    "v_points": (int, 101, "number of visibilities"),
+    "trials": (int, 1_000_000, "trials per setting pair"),
+    "num_seeds": (int, 20, "number of seeds"),
+    "seed_start": (int, 0, "first seed"),
+    "grid_points": (int, 100, "detector angles per axis"),
 }
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str)] + [(key, object, default) for key, (_, default, _) in _OPTIONS.items()],
+    namespace={"__module__": __name__, "__doc__": "Merged options for one command invocation."},
+)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -146,23 +125,22 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (flags win) into a RunConfig."""
     command = args.command
     _, _, keys = _COMMANDS[command]
-    config = RunConfig(command=command)
+    options: dict[str, object] = {}
 
     if args.config is not None:
         for key, raw_value in _read_config_file(args.config).items():
             if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
             try:
-                value = _OPTIONS[key][0](raw_value)
+                options[key] = _OPTIONS[key][0](raw_value)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
-            setattr(config, key, value)
 
     for key in keys:
         flag_value = getattr(args, key)
         if flag_value is not None:
-            setattr(config, key, flag_value)
-    return config
+            options[key] = flag_value
+    return RunConfig(command=command, **options)
 
 
 def _domain(factory: Callable[..., object], **kwargs) -> object:
@@ -308,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="flat key = value config file")
         for key in keys:
-            converter, option_help = _OPTIONS[key]
+            converter, _, option_help = _OPTIONS[key]
             flag = "--" + key.replace("_", "-")
             flags = ("-o", flag) if key == "output" else (flag,)
             p.add_argument(*flags, type=converter, help=option_help)
@@ -342,7 +320,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     try:
         _write_output(config.output, text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"pathent: cannot write output: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -54,10 +54,15 @@ class McConfig:
                 f"trials_per_setting must lie in [1, 2**63 - 1], "
                 f"got {self.trials_per_setting!r}"
             )
-        if star_probability(self.settings.eta) == 0.0:  # the estimator divides by it
-            raise ValueError(
-                f"eta^2 must not underflow to 0, got eta = {self.settings.eta.eta!r}"
-            )
+        s = self.settings
+        try:  # five scalars make a 1-d array; ragged shapes raise ValueError
+            scalar = np.asarray((s.phi1, s.phi1_prime, s.phi2, s.phi2_prime, s.v.v)).ndim == 1
+        except ValueError:
+            scalar = False
+        if not scalar:
+            raise ValueError("settings must hold scalar phases and a scalar visibility")
+        if star_probability(s.eta) == 0.0:  # the estimator divides by it
+            raise ValueError(f"eta^2 must not underflow to 0, got eta = {s.eta.eta!r}")
 
 
 @dataclass(frozen=True)

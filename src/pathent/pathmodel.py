@@ -105,14 +105,6 @@ class FourModeState:
             raise ValueError("cannot normalize the zero state")
         return FourModeState(self._amp / norm)
 
-    def __add__(self, other: "FourModeState") -> "FourModeState":
-        return FourModeState(self._amp + other._amp)
-
-    def __mul__(self, factor: complex) -> "FourModeState":
-        return FourModeState(self._amp * factor)
-
-    __rmul__ = __mul__
-
     def terms(self) -> dict[Pattern, complex]:
         """Nonzero amplitudes keyed by occupation pattern."""
         out: dict[Pattern, complex] = {}

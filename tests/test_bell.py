@@ -1,4 +1,4 @@
-"""CH74 inequality: Bell-angle margin, visibility threshold, ceiling, scans."""
+"""CH74 inequality: Bell-angle margin, visibility threshold, ceiling, grids."""
 
 import math
 from dataclasses import replace
@@ -13,7 +13,6 @@ from pathent.bell import (
     bell_angle_settings,
     ch_statistic,
     critical_visibility,
-    scan,
     star_probability,
 )
 from pathent.correlations import (
@@ -155,6 +154,10 @@ class TestChStatistic:
         with pytest.raises(ValueError):
             settings_with(math.nan, 0.0, 0.0, 0.0)
 
+    def test_rejects_non_finite_element_of_array_phase(self):
+        with pytest.raises(ValueError, match="phi2_prime"):
+            settings_with(0.0, 0.0, np.zeros(3), np.array([0.0, math.inf, 1.0]))
+
 
 class TestCriticalVisibility:
     def test_value(self):
@@ -209,33 +212,25 @@ class TestCeiling:
             assert result.statistic <= 0.0
 
 
-class TestScan:
-    def test_single_row(self):
-        rows = scan([UNIT_VISIBILITY], [bell_angle_settings(UNIT_VISIBILITY)])
-        assert len(rows) == 1
-        assert rows[0].statistic == pytest.approx(SQRT2 - 1.0, abs=1e-12)
-
-    def test_low_visibility_rows_never_violate(self):
-        settings = [
-            bell_angle_settings(UNIT_VISIBILITY),
-            settings_with(0.1, 1.3, -0.4, 2.2),
-            settings_with(0.0, 0.0, 0.0, 0.0),
-        ]
-        rows = scan([Visibility(v=0.0), Visibility(v=0.5)], settings)
-        assert len(rows) == 6
-        assert all(row.statistic <= 0.0 for row in rows)
-
-    def test_row_order_is_outer_visibility_inner_settings(self):
-        settings = [bell_angle_settings(UNIT_VISIBILITY), settings_with(0.0, 1.0, 2.0, 3.0)]
-        grid = [Visibility(v=0.2), Visibility(v=0.9)]
-        rows = scan(grid, settings)
-        expected = [
-            ch_statistic(replace(s, v=vis)) for vis in grid for s in settings
-        ]
-        assert rows == expected
-
-    def test_empty_grids_rejected(self):
-        with pytest.raises(ValueError):
-            scan([], [bell_angle_settings(UNIT_VISIBILITY)])
-        with pytest.raises(ValueError):
-            scan([UNIT_VISIBILITY], [])
+class TestArrayGrid:
+    def test_settings_row_by_visibility_column_matches_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        phases = rng.uniform(-math.pi, math.pi, (4, 7))
+        phases[:, 0] = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)  # Bell angles
+        phases[:, 1] = 0.0
+        v = np.array([0.0, 0.5, critical_visibility(), 0.9, 1.0])
+        eff = Efficiency(eta=0.8)
+        grid = ch_statistic(ChSettings(*phases, v=Visibility(v=v[:, np.newaxis]), eta=eff))
+        assert grid.statistic.shape == grid.violated.shape == (5, 7)
+        terms = [np.broadcast_to(term, (5, 7)) for term in grid.terms]
+        for i, vis in enumerate(v):
+            for j in range(7):
+                scalar = ch_statistic(
+                    settings_with(*map(float, phases[:, j]), v=float(vis), eta=eff.eta)
+                )
+                assert grid.statistic[i, j] == scalar.statistic
+                assert grid.lower_margin[i, j] == scalar.lower_margin
+                assert grid.violated[i, j] == scalar.violated
+                assert tuple(float(term[i, j]) for term in terms) == scalar.terms
+        assert grid.statistic[-1, 0] == pytest.approx(SQRT2 - 1.0, abs=1e-12)
+        assert (grid.statistic[:2] <= 0.0).all()  # v <= 0.5 never violates

@@ -369,6 +369,17 @@ class TestExitCodes:
         assert code == 4
         assert "cannot write output" in err
 
+    def test_nul_byte_in_output_path_is_output_error(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("output = a\0b\n")
+        code, out, err = run_capture(
+            capsys, ["path-check", "--grid-points", "3", "--config", str(config)]
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("pathent: cannot write output:")
+        assert err.count("\n") == 1
+
     def test_help_exits_cleanly(self, capsys):
         code, out, _ = run_capture(capsys, ["--help"])
         assert code == 0
@@ -448,6 +459,32 @@ class TestFlagConfigParity:
                 assert "unknown config key" in err
 
 
+#: Every option that has a default, spelled out at the default the README
+#: documents; the other options (output, xi-start, xi-stop, v-grid) have none.
+_DEFAULT_FLAGS = {
+    "g2-scan": ["--kd", "6.283185307179586", "--e0", "1", "--visibility", "1", "--eta", "1",
+                "--phi-start", "0", "--phi-stop", "6.283185307179586", "--points", "100",
+                "--xi-ref", "0"],
+    "bell-test": ["--eta", "1", "--v-start", "0", "--v-stop", "1", "--v-points", "101"],
+    "mc-bell": ["--visibility", "1", "--eta", "1", "--trials", "1000000",
+                "--num-seeds", "20", "--seed-start", "0"],
+    "path-check": ["--kd", "6.283185307179586", "--e0", "1", "--grid-points", "100"],
+}
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", list(_subparsers()))
+    def test_no_options_equal_every_default_spelled_out(self, capsys, command):
+        flags = _DEFAULT_FLAGS[command]
+        without_default = {"output", "xi-start", "xi-stop", "v-grid"}
+        assert {flag[2:] for flag in flags[::2]} == (
+            set(_long_options(_subparsers()[command])) - without_default
+        )
+        bare = run_capture(capsys, [command])
+        assert bare[0] == 0 and bare[2] == ""
+        assert run_capture(capsys, [command, *flags]) == bare
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -495,39 +532,68 @@ _FUZZ_VALUES = {
 }
 
 
+#: Option texts that are not well-formed numbers, or only loosely so
+#: (non-ASCII digits parse); each is passed verbatim.
+_MALFORMED = st.sampled_from(["1e", "", "0x10", " ", ",", "1,,2", "\u0661\u0662", "\u0663.\u0665"])
+
+#: An output file name inside the run's temporary directory.
+_OUTPUT_NAMES = st.sampled_from(["out.csv", "a\0b.csv"])
+
+
 def _text(value):
+    if isinstance(value, str):
+        return value
     return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
 
 
 @st.composite
 def cli_cases(draw):
-    """A command, values for some of its options, and which go in the config file."""
+    """A command, values for some of its options, and which go in the config file.
+
+    A value is a number or a malformed text; ``output``, if chosen, is a file
+    name and always goes in the config file.
+    """
     command = draw(st.sampled_from(sorted(_subparsers())))
     keys = [option.replace("-", "_") for option in _long_options(_subparsers()[command])]
-    chosen = draw(st.lists(st.sampled_from([k for k in keys if k != "output"]), unique=True))
-    options = {key: draw(_FUZZ_VALUES[key]) for key in chosen}
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+    options = {
+        key: draw(_OUTPUT_NAMES if key == "output" else _FUZZ_VALUES[key] | _MALFORMED)
+        for key in chosen
+    }
     in_config = draw(st.sets(st.sampled_from(chosen))) if chosen else set()
-    return command, options, in_config
+    return command, options, in_config | ({"output"} & options.keys())
 
 
 def run_case(command, options, in_config):
-    """Exit code, stdout and stderr of the CLI, each option as a flag or a config key."""
+    """Exit code, output and stderr of the CLI, each option as a flag or a config key.
+
+    An ``output`` file is created in a temporary directory; on exit 0 stdout
+    must then be empty, and the file's text is returned as the output.
+    """
     argv = [command]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        texts = {key: _text(value) for key, value in options.items()}
+        if "output" in texts:
+            texts["output"] = str(Path(tmp) / texts["output"])
         if in_config:
             config = Path(tmp) / "run.cfg"
-            config.write_text("".join(f"{key} = {_text(options[key])}\n" for key in in_config))
+            config.write_text("".join(f"{key} = {texts[key]}\n" for key in in_config),
+                              encoding="utf-8")
             argv += ["--config", str(config)]
-        argv += [f"--{key.replace('_', '-')}={_text(value)}"
-                 for key, value in options.items() if key not in in_config]
+        argv += [f"--{key.replace('_', '-')}={text}"
+                 for key, text in texts.items() if key not in in_config]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = run(argv)
+        output = out.getvalue()
+        if code == 0 and "output" in texts:
+            assert output == ""
+            output = Path(texts["output"]).read_text()
     # outside the test runner a warning is printed to stderr
     err.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return code, out.getvalue(), err.getvalue()
+    return code, output, err.getvalue()
 
 
 class TestFuzz:
@@ -540,6 +606,12 @@ class TestFuzz:
     @example(case=("path-check", {"kd": 1e308, "grid_points": 3}, set()))
     @example(case=("mc-bell", {"eta": 1e-300, "trials": 10, "num_seeds": 1}, set()))
     @example(case=("mc-bell", {"eta": 1e-170, "trials": 1000}, {"trials"}))
+    @example(case=("path-check", {"output": "a\0b.csv", "grid_points": 3}, {"output"}))
+    @example(case=("bell-test", {"output": "a\0b.csv", "v_grid": "1,,0.5"}, {"output"}))
+    @example(case=("g2-scan", {"output": "out.csv", "points": "\u0661\u0662"},
+                   {"output", "points"}))
+    @example(case=("g2-scan", {"kd": "1e", "e0": " "}, {"e0"}))
+    @example(case=("bell-test", {"v_grid": ",", "v_points": "0x10"}, {"v_grid"}))
     def test_any_options_give_a_documented_exit(self, case):
         code, out, err = run_case(*case)
         assert code in (0, 2, 3, 4), err

@@ -3,6 +3,7 @@
 import math
 import statistics
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ class TestSimulateCounts:
         plain = McConfig(seed=7, trials_per_setting=1000, settings=settings)
         numpy = McConfig(seed=np.int64(7), trials_per_setting=np.uint32(1000), settings=settings)
         assert simulate_counts(numpy) == simulate_counts(plain)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("v", Visibility(v=np.array([0.5, 0.9]))), ("v", Visibility(v=np.array([0.9]))),
+         ("phi2", np.array([0.1, 0.2])), ("phi1_prime", np.zeros((1, 1))),
+         ("phi2_prime", [0.5, 0.7])],
+        ids=["v-array", "v-one-element", "phi2-array", "phi1_prime-1x1", "phi2_prime-list"],
+    )
+    def test_config_rejects_array_settings(self, field, value):
+        # estimate_ch draws one count per term, so every setting must be a scalar.
+        settings = replace(bell_angle_settings(UNIT_VISIBILITY), **{field: value})
+        with pytest.raises(ValueError, match="scalar"):
+            McConfig(seed=1, trials_per_setting=100, settings=settings)
+
+    def test_config_accepts_zero_dimensional_settings(self):
+        plain = bell_angle_settings(Visibility(v=0.9))
+        zero_d = replace(plain, phi2=np.array(plain.phi2), v=Visibility(v=np.array(0.9)))
+        assert estimate_ch(McConfig(seed=3, trials_per_setting=1000, settings=zero_d)) == \
+            estimate_ch(McConfig(seed=3, trials_per_setting=1000, settings=plain))
 
     @pytest.mark.parametrize("eta", [1e-300, 1e-170, 5e-324])
     def test_config_rejects_eta_squared_underflow(self, eta):

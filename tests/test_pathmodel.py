@@ -80,10 +80,12 @@ class TestDetectorOperators:
         a, b = complex(a_re, a_im), complex(b_re, b_im)
         s = postselected_state()
         t = FourModeState.from_terms({(0, 0, 1, 0): 1.5, (0, 0, 0, 1): -2j})
+        superposition = FourModeState(a * s.amplitudes + b * t.amplitudes)
         for stage in DetectorStage:
-            combined = apply_detector(stage, phase, a * s + b * t)
-            separate = a * apply_detector(stage, phase, s) + b * apply_detector(stage, phase, t)
-            assert np.allclose(combined.amplitudes, separate.amplitudes, atol=1e-12)
+            combined = apply_detector(stage, phase, superposition)
+            separate = (a * apply_detector(stage, phase, s).amplitudes
+                        + b * apply_detector(stage, phase, t).amplitudes)
+            assert np.allclose(combined.amplitudes, separate, atol=1e-12)
 
     def test_rejects_non_finite_phase(self):
         with pytest.raises(ValueError):
