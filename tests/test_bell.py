@@ -212,6 +212,43 @@ class TestCeiling:
             assert result.statistic <= 0.0
 
 
+def grid_of(visibilities, settings, eta=1.0):
+    """One array CH74 call: settings along the row, visibilities down the column."""
+    columns = [
+        np.array([getattr(s, name) for s in settings], dtype=float)
+        for name in ("phi1", "phi1_prime", "phi2", "phi2_prime")
+    ]
+    v = np.array([vis.v for vis in visibilities], dtype=float)[:, np.newaxis]
+    return ch_statistic(ChSettings(*columns, v=Visibility(v=v), eta=Efficiency(eta=eta)))
+
+
+class TestScan:
+    def test_single_row(self):
+        grid = grid_of([UNIT_VISIBILITY], [bell_angle_settings(UNIT_VISIBILITY)])
+        assert grid.statistic.shape == (1, 1)
+        assert grid.statistic[0, 0] == pytest.approx(SQRT2 - 1.0, abs=1e-12)
+
+    def test_low_visibility_rows_never_violate(self):
+        settings = [
+            bell_angle_settings(UNIT_VISIBILITY),
+            settings_with(0.1, 1.3, -0.4, 2.2),
+            settings_with(0.0, 0.0, 0.0, 0.0),
+        ]
+        grid = grid_of([Visibility(v=0.0), Visibility(v=0.5)], settings)
+        assert grid.statistic.shape == (2, 3)
+        assert (grid.statistic <= 0.0).all()
+        assert not grid.violated.any()
+
+    def test_row_order_is_outer_visibility_inner_settings(self):
+        settings = [bell_angle_settings(UNIT_VISIBILITY), settings_with(0.0, 1.0, 2.0, 3.0)]
+        visibilities = [Visibility(v=0.2), Visibility(v=0.9)]
+        grid = grid_of(visibilities, settings)
+        expected = [
+            ch_statistic(replace(s, v=vis)).statistic for vis in visibilities for s in settings
+        ]
+        assert grid.statistic.ravel().tolist() == expected
+
+
 class TestArrayGrid:
     def test_settings_row_by_visibility_column_matches_scalar_calls(self):
         rng = np.random.default_rng(17)
