@@ -9,9 +9,11 @@ mc-bell     seeded Monte Carlo estimates of the CH74 margin at the Bell angles
 path-check  consistency of the quantum-path model against the operator
             algebra, plus the Schmidt rank of the post-selected state
 
-A flat ``key = value`` config file (# comments allowed) can pre-set any
-option of the active command, keyed by its long flag name; explicit flags win
-over the file. Results are written as CSV with LF line endings to --output,
+A flat ``key = value`` config file can pre-set any option of the active
+command, keyed by its long flag name, each key at most once; explicit flags
+win over the file. A ``#`` that starts a line or follows whitespace starts a
+comment, so ``output = run#1.csv`` keeps its ``#`` and ``points = 3  # three``
+sets 3. Results are written as CSV with LF line endings to --output,
 or to stdout. Numbers carry 17 significant digits so every field parses back
 to the exact computed value. Diagnostics go to stderr; exit status is 0 on
 success, 2 for usage errors, 3 for invalid configuration (including an
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import make_dataclass
 from pathlib import Path
@@ -104,20 +107,31 @@ RunConfig = make_dataclass(
 )
 
 
+#: A comment: a ``#`` that starts the line or follows whitespace, to the end.
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     entries: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in key_lines:
+            raise ConfigError(
+                f"{path}:{lineno}: config key {key!r} already set on line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
+        entries[key] = value.strip()
     return entries
 
 
@@ -216,17 +230,17 @@ def _run_mc_bell(cfg: RunConfig) -> str:
     eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
     if cfg.num_seeds < 1:
         raise ConfigError(f"num_seeds must be >= 1, got {cfg.num_seeds}")
-    settings = bell_angle_settings(vis, eff)
+    seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
+    mc_config: McConfig = _domain(
+        McConfig, seed=seeds, trials_per_setting=cfg.trials,
+        settings=bell_angle_settings(vis, eff),
+    )
+    estimate = estimate_ch(mc_config)
+    columns = zip(seeds, estimate.statistic_hat, estimate.std_error, estimate.sigma_violation)
     rows = ["seed,trials,statistic_hat,std_error,sigma_violation"]
-    for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
-        mc_config: McConfig = _domain(
-            McConfig, seed=seed, trials_per_setting=cfg.trials, settings=settings
-        )
-        estimate = estimate_ch(mc_config)
-        rows.append(
-            f"{seed},{estimate.trials},{_fmt(estimate.statistic_hat)},"
-            f"{_fmt(estimate.std_error)},{_fmt(estimate.sigma_violation)}"
-        )
+    rows.extend(
+        f"{seed},{estimate.trials},{_fmt(s)},{_fmt(e)},{_fmt(z)}" for seed, s, e, z in columns
+    )
     return _csv_text(rows)
 
 

@@ -5,10 +5,17 @@ the analytic joint probability of its setting pair; inefficiency and failed
 post-selection are already absorbed into eta. The count of ``n`` such
 independent trials is exactly one Binomial(n, p) variate, so each setting
 pair's count is a single binomial draw rather than ``n`` Bernoulli samples:
-time and memory per pair do not grow with ``n``. The four setting pairs draw
-from independent, deterministically derived random substreams (the term
-index is mixed into the seed), so counts depend only on (seed, trials,
-settings) and never on evaluation order.
+time and memory per pair do not grow with ``n``.
+
+Every (seed, setting pair) draws from its own substream, numpy's
+``default_rng(SeedSequence(entropy=seed, spawn_key=(term_index,)))``, so
+counts depend only on (seed, trials, settings) and never on evaluation order
+or on the other seeds of a run. A run takes one seed or a sequence of them.
+The seeding is batched: the ``SeedSequence`` hash is evaluated as uint32
+array arithmetic over a block of seeds times the four terms, and each
+resulting PCG64 state is loaded into one reused generator before its draw.
+Numpy's stream-compatibility policy (NEP 19) fixes both algorithms, and the
+draws are bit-identical to building each generator with numpy.
 
 The plug-in estimator of the normalized CH74 margin is
 
@@ -21,8 +28,9 @@ four independent binomial variances in quadrature.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,24 +40,56 @@ from .correlations import joint_probability_at_phase
 _MAX_SEED = 2**64
 #: Largest sample size numpy's binomial sampler takes (a signed 64-bit integer).
 _MAX_TRIALS = 2**63 - 1
+#: Seeds hashed and drawn per pass of simulate_counts; bounds the working set
+#: (hashed words and 128-bit generator states) to this many seeds.
+_SEED_BLOCK = 256
+_TERMS = 4
+
+
+def _integer(name: str, value: object) -> object:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _checked_seed(value: object) -> object:
+    if not 0 <= _integer("seed", value) < _MAX_SEED:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value!r}")
+    return value
+
+
+def _checked_seeds(seed: int | Iterable[int]) -> Iterator[object]:
+    """The elements of ``seed`` (an integer is one element), each checked as
+    it is reached, so a long range fails at its first bad seed unbuilt."""
+    try:
+        elements = iter(seed)
+    except TypeError:  # an integer (or a 0-d array) is the one-seed case
+        elements = iter((seed,))
+    return map(_checked_seed, elements)
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """One reproducible coincidence experiment: seed, sample size, settings."""
+    """Reproducible coincidence experiments: seeds, sample size, settings.
 
-    seed: int
+    ``seed`` is an integer or a 1-d sequence of integers (a list, a range or
+    an integer array), each in [0, 2**64); every seed is one experiment with
+    the same sample size and settings. ``seeds`` holds them as a 1-d uint64
+    array.
+    """
+
+    seed: int | Iterable[int]
     trials_per_setting: int
     settings: ChSettings
+    seeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("seed", "trials_per_setting"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 1 <= self.trials_per_setting <= _MAX_TRIALS:
+        # A run reports the error a loop of one-seed configs would meet first:
+        # the first seed is checked, then the sample size and settings, then
+        # the other seeds.
+        seeds = _checked_seeds(self.seed)
+        head = list(itertools.islice(seeds, 1))
+        if not 1 <= _integer("trials_per_setting", self.trials_per_setting) <= _MAX_TRIALS:
             raise ValueError(
                 f"trials_per_setting must lie in [1, 2**63 - 1], "
                 f"got {self.trials_per_setting!r}"
@@ -63,56 +103,159 @@ class McConfig:
             raise ValueError("settings must hold scalar phases and a scalar visibility")
         if star_probability(s.eta) == 0.0:  # the estimator divides by it
             raise ValueError(f"eta^2 must not underflow to 0, got eta = {s.eta.eta!r}")
+        object.__setattr__(self, "seeds", np.fromiter(itertools.chain(head, seeds), np.uint64))
+
+
+def _python(value: np.ndarray | np.generic) -> object:
+    """A 0-d value as a Python int or float; arrays are returned as they are."""
+    return value.item() if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Estimated CH74 margin with its binomial standard error and raw counts."""
+    """Estimated CH74 margin with its binomial standard error and raw counts.
 
-    statistic_hat: float
-    std_error: float
-    counts: tuple[int, int, int, int]
+    For a sequence of seeds ``statistic_hat``, ``std_error`` and each of the
+    four ``counts`` are arrays along the seeds.
+    """
+
+    statistic_hat: float | np.ndarray
+    std_error: float | np.ndarray
+    counts: tuple[int | np.ndarray, ...]
     trials: int
 
     def __post_init__(self) -> None:
-        if self.std_error < 0.0:
+        if np.any(np.asarray(self.std_error) < 0.0):
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
-        if any(not 0 <= count <= self.trials for count in self.counts):
+        counts = np.asarray(self.counts)
+        if np.any((counts < 0) | (counts > self.trials)):
             raise ValueError(f"counts must lie in [0, {self.trials}], got {self.counts!r}")
 
     @property
-    def sigma_violation(self) -> float:
-        """How many standard errors the estimate sits above zero."""
-        if self.std_error > 0.0:
-            return self.statistic_hat / self.std_error
-        if self.statistic_hat > 0.0:
-            return math.inf
-        if self.statistic_hat < 0.0:
-            return -math.inf
-        return 0.0
+    def sigma_violation(self) -> float | np.ndarray:
+        """How many standard errors the estimate sits above zero.
+
+        With a zero standard error it is +-inf by the estimate's sign, or 0.
+        """
+        statistic, error = np.asarray(self.statistic_hat), np.asarray(self.std_error)
+        signed_inf = np.where(statistic > 0.0, np.inf, np.where(statistic < 0.0, -np.inf, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _python(np.where(error > 0.0, statistic / error, signed_inf))
 
 
-def _term_rng(seed: int, term_index: int) -> np.random.Generator:
-    # One substream per setting pair; scheduling cannot reorder draws.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(term_index,))
-    )
+# numpy's SeedSequence (O'Neill's seed_seq_fe) as uint32 array arithmetic. Its
+# hash constants advance by a fixed multiplier on every call, whatever the
+# data, so the whole chain is computed once here, as Python ints.
+_MASK32 = 0xFFFF_FFFF
+_XSHIFT = 16
 
 
-def simulate_counts(cfg: McConfig) -> tuple[int, int, int, int]:
+def _constant_chain(init: int, mult: int, calls: int) -> tuple[int, ...]:
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return tuple(chain)
+
+
+#: mix_entropy hashes 4 pool words, 12 cross-mixes and the spawn key into 4 words.
+_MIX_CONSTANTS = _constant_chain(0x43B0D7E5, 0x931E8875, 4 + 12 + 4)
+#: generate_state(4, uint64) draws 8 uint32 words.
+_STATE_CONSTANTS = _constant_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+
+def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
+    value = (value ^ _MIX_CONSTANTS[call]) * _MIX_CONSTANTS[call + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, uint64)``.
+
+    Returns shape (seeds, terms, 4). With a spawn key, numpy pads the entropy
+    of every seed below 2**64 to the same five words ``[lo, hi, 0, 0, t]``, so
+    the first two mixing stages depend on the seed alone and only the last one
+    on the term.
+    """
+    lo = (seeds & _MASK32).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    pool = [_hashmix(word, call) for call, word in enumerate(
+        (lo, (seeds >> 32).astype(np.uint32), zero, zero))]
+    call = len(pool)
+    for src in range(len(pool)):
+        for dst in range(len(pool)):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    terms = np.arange(_TERMS, dtype=np.uint32)
+    pool = [_mix(word[:, np.newaxis], _hashmix(terms, call + dst)) for dst, word in enumerate(pool)]
+    words = []
+    for i in range(2 * len(pool)):
+        word = (pool[i % len(pool)] ^ _STATE_CONSTANTS[i]) * _STATE_CONSTANTS[i + 1]
+        words.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+    # Little-endian pairs of uint32 words make the uint64 words.
+    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, len(words), 2)], axis=-1)
+
+
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(state, inc) of each seed's and term's PCG64, seed-major, as
+    ``pcg64_set_seed`` sets them from the four words.
+
+    The first two words are the initial state, the last two the stream (high
+    word first); PCG's srandom steps the generator once before and once after
+    adding the initial state.
+    """
+    words = _seed_words(seeds).reshape(-1, 4).astype(object)  # Python ints: 128-bit math
+    inc = ((words[:, 2] << 64 | words[:, 3]) << 1 | 1) & _MASK128
+    state = ((inc + (words[:, 0] << 64 | words[:, 1])) * _PCG_MULTIPLIER + inc) & _MASK128
+    return zip(state.tolist(), inc.tolist())
+
+
+def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     """Coincidence counts for the four setting pairs.
 
-    Per pair, draws one Binomial(``trials_per_setting``, p) variate from the
-    pair's own substream, with p the analytic joint probability at that phase
-    difference; time and memory are constant in ``trials_per_setting``.
+    Per pair and seed, draws one Binomial(``trials_per_setting``, p) variate
+    from that pair's substream, with p the analytic joint probability at that
+    phase difference; time and memory are constant in ``trials_per_setting``.
+    An integer seed gives four ints, a sequence four arrays along the seeds.
     """
     settings = cfg.settings
-    counts = []
-    for term_index, delta in enumerate(settings.phase_differences()):
-        p = joint_probability_at_phase(delta, settings.v, settings.eta)
-        rng = _term_rng(cfg.seed, term_index)
-        counts.append(int(rng.binomial(cfg.trials_per_setting, p)))
-    return tuple(counts)
+    probabilities = [
+        joint_probability_at_phase(delta, settings.v, settings.eta)
+        for delta in settings.phase_differences()
+    ]
+    bit_generator = np.random.PCG64(0)  # each draw loads its own state first
+    generator = np.random.Generator(bit_generator)
+    stream: dict[str, int] = {}
+    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    counts = np.empty((cfg.seeds.size, _TERMS), dtype=np.int64)
+    for first in range(0, cfg.seeds.size, _SEED_BLOCK):
+        streams = _pcg64_states(cfg.seeds[first:first + _SEED_BLOCK])
+        block = []
+        for p, (stream["state"], stream["inc"]) in zip(itertools.cycle(probabilities), streams):
+            bit_generator.state = state
+            block.append(generator.binomial(cfg.trials_per_setting, p))
+        counts[first:first + _SEED_BLOCK] = np.reshape(block, (-1, _TERMS))
+    if isinstance(cfg.seed, (int, np.integer)):
+        return tuple(counts[0].tolist())
+    return tuple(counts.T)
+
+
+def _frequencies(counts: np.ndarray, n: int) -> np.ndarray:
+    """``counts / n`` rounded once, as Python divides ints."""
+    if n <= 2**53:  # both operands convert to float64 exactly
+        return counts / n
+    return np.array([count / n for count in counts.ravel().tolist()]).reshape(counts.shape)
 
 
 def estimate_ch(cfg: McConfig) -> McEstimate:
@@ -120,13 +263,22 @@ def estimate_ch(cfg: McConfig) -> McEstimate:
     counts = simulate_counts(cfg)
     n = cfg.trials_per_setting
     eta2 = star_probability(cfg.settings.eta)
-    p_hat = [count / n for count in counts]
-    statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
-    variance = sum(p * (1.0 - p) / n for p in p_hat)
-    std_error = math.sqrt(variance) / eta2
+    p_hat = _frequencies(np.array(counts), n)  # (terms,) or (terms, seeds)
+    with np.errstate(over="ignore"):  # as Python's float division, overflow gives inf
+        statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
+        terms = (p_hat * (1.0 - p_hat) / n).reshape(_TERMS, -1)
+        # Python's own sum of each seed's four floats (from Python 3.12 it
+        # compensates rounding), taken a block of seeds at a time.
+        per_seed = itertools.chain.from_iterable(
+            terms[:, first:first + _SEED_BLOCK].T.tolist()
+            for first in range(0, terms.shape[1], _SEED_BLOCK)
+        )
+        variance = np.fromiter(map(sum, per_seed), np.float64, terms.shape[1])
+        variance = variance.reshape(p_hat.shape[1:])
+        std_error = np.sqrt(variance) / eta2
     return McEstimate(
-        statistic_hat=statistic_hat,
-        std_error=std_error,
+        statistic_hat=_python(statistic_hat),
+        std_error=_python(std_error),
         counts=counts,
         trials=n,
     )

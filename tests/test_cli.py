@@ -215,6 +215,34 @@ class TestConfigFile:
         )
         assert code == 3
 
+    def test_hash_inside_value_is_kept(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"output = {tmp_path / 'run#1.csv'}\n# a comment line\n")
+        code, out, err = run_capture(
+            capsys, ["path-check", "--grid-points", "3", "--config", str(config)]
+        )
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "run#1.csv").read_text().startswith("max_abs_deviation=")
+        assert not (tmp_path / "run").exists()
+
+    def test_hash_after_whitespace_starts_a_comment(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("points = 3  # three\n  # indented comment\nvisibility = 0.5\t#tab\n")
+        code, out, _ = run_capture(capsys, ["g2-scan", "--config", str(config)])
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("first,second", [("points", "points"), ("phi-stop", "phi_stop")])
+    def test_repeated_key_rejected(self, capsys, tmp_path, first, second):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{first} = 3\n# between\n{second} = 5\n")
+        code, out, err = run_capture(capsys, ["g2-scan", "--config", str(config)])
+        assert (code, out) == (3, "")
+        key = first.replace("-", "_")
+        assert err == (f"pathent: invalid configuration: {config}:3: "
+                       f"config key {key!r} already set on line 1\n")
+
     def test_non_utf8_file_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"points = 2\n\xff\n")
@@ -358,6 +386,30 @@ class TestExitCodes:
         _, rows = csv_rows(out)
         assert len(rows) == 2
         assert all(math.isfinite(float(value)) for row in rows for value in row)
+
+    @pytest.mark.parametrize(
+        "seed_start,bad",
+        [(2**64 - 2, 2**64), (-2, -2)],
+        ids=["straddles-2**64", "negative-start"],
+    )
+    def test_out_of_range_seed_is_config_error(self, capsys, seed_start, bad):
+        # The message names the first out-of-range seed of the run.
+        code, out, err = run_capture(
+            capsys, ["mc-bell", "--trials", "1000", "--num-seeds", "5",
+                     "--seed-start", str(seed_start)]
+        )
+        assert (code, out) == (3, "")
+        assert err == ("pathent: invalid configuration: "
+                       f"seed must be a 64-bit unsigned integer, got {bad}\n")
+
+    def test_last_valid_seeds_run(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["mc-bell", "--trials", "1000", "--num-seeds", "3",
+                     "--seed-start", str(2**64 - 3)]
+        )
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert [int(row[0]) for row in rows] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
 
     def test_invalid_eta_is_config_error(self, capsys):
         code, _, _ = run_capture(capsys, ["bell-test", "--eta", "0"])

@@ -1,8 +1,9 @@
 """CLI output pinned byte for byte against scalar reference runners.
 
-The references evaluate the kernels one point (or one detector pair) at a
-time with Python scalars, as the commands once did; the CLI evaluates each
-grid in array passes and must print exactly the same bytes.
+The references evaluate the kernels one point (or one detector pair, or one
+seed) at a time with Python scalars, as the commands once did; the CLI
+evaluates each grid, and mc-bell its seeds, in array passes and must print
+exactly the same bytes.
 """
 
 import contextlib
@@ -90,6 +91,34 @@ def reference_path_check(cfg):
     return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"
 
 
+def reference_mc_bell(cfg):
+    """One seed at a time: numpy's own per-term generators, scalar estimator."""
+    settings = bell_angle_settings(Visibility(v=cfg.visibility), Efficiency(eta=cfg.eta))
+    probabilities = [
+        joint_probability_at_phase(delta, settings.v, settings.eta)
+        for delta in settings.phase_differences()
+    ]
+    n = cfg.trials
+    eta2 = cfg.eta * cfg.eta
+    rows = ["seed,trials,statistic_hat,std_error,sigma_violation"]
+    for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
+        counts = [
+            int(np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(term_index,))
+            ).binomial(n, p))
+            for term_index, p in enumerate(probabilities)
+        ]
+        p_hat = [count / n for count in counts]
+        statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
+        std_error = math.sqrt(sum(p * (1.0 - p) / n for p in p_hat)) / eta2
+        if std_error > 0.0:
+            sigma = statistic_hat / std_error
+        else:
+            sigma = math.inf if statistic_hat > 0.0 else -math.inf if statistic_hat < 0.0 else 0.0
+        rows.append(f"{seed},{n},{_fmt(statistic_hat)},{_fmt(std_error)},{_fmt(sigma)}")
+    return "\n".join(rows) + "\n"
+
+
 def cli_output(command, options):
     """Stdout of the CLI for ``command`` with ``options`` passed as flags."""
     argv = [command]
@@ -155,3 +184,30 @@ def test_bell_test_visibility_list(**options):
 @example(kd=2 * math.pi, e0=1.0, grid_points=40)  # two full row blocks and a partial one
 def test_path_check(**options):
     assert_matches_reference("path-check", reference_path_check, options)
+
+
+@st.composite
+def seed_ranges(draw):
+    """A first seed and a seed count whose seeds all lie below 2**64."""
+    seed_start = draw(
+        st.integers(0, 2**64 - 1) | st.integers(2**64 - 10, 2**64 - 1)
+        | st.integers(2**63 - 40, 2**63 + 40) | st.integers(0, 1000)
+    )
+    return seed_start, draw(st.integers(1, min(40, 2**64 - seed_start)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=seed_ranges(),
+    trials=st.sampled_from([1, 2, 37, 1000, 10**6, 2**63 - 1]) | st.integers(1, 10**4),
+    visibility=contrasts,
+    eta=etas | st.sampled_from([1.0, 1e-160]),
+)
+@example(seeds=(0, 3), trials=1, visibility=1.0, eta=1.0)  # 1,1,1,0,inf rows
+@example(seeds=(5, 4), trials=1000, visibility=0.9, eta=1e-160)  # -2,0,-inf rows
+@example(seeds=(2**64 - 10, 10), trials=2**63 - 1, visibility=0.9, eta=0.8)
+@example(seeds=(0, 40), trials=10**6, visibility=0.9, eta=1.0)
+def test_mc_bell(seeds, **options):
+    seed_start, num_seeds = seeds
+    options.update(seed_start=seed_start, num_seeds=num_seeds)
+    assert_matches_reference("mc-bell", reference_mc_bell, options)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from pathent.bell import ChSettings, bell_angle_settings, ch_statistic
@@ -20,12 +21,18 @@ from pathent.correlations import (
 from pathent.montecarlo import (
     McConfig,
     McEstimate,
-    _term_rng,
+    _frequencies,
+    _pcg64_states,
     estimate_ch,
     simulate_counts,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def numpy_term_rng(seed, term_index):
+    """The substream of one seed and term, built by numpy itself."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(term_index,)))
 
 
 def flat_settings(phi2, v=1.0, eta=1.0):
@@ -195,7 +202,85 @@ class TestBinomialDraws:
             )
             for term_index, delta in enumerate(settings.phase_differences()):
                 p = joint_probability_at_phase(delta, settings.v, settings.eta)
-                assert counts[term_index] == _term_rng(seed, term_index).binomial(n, p)
+                assert counts[term_index] == numpy_term_rng(seed, term_index).binomial(n, p)
+
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestBatchedSeeding:
+    """The batched SeedSequence/PCG64 port against numpy's own generators."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    @example(EDGE_SEEDS)
+    def test_states_and_counts_equal_numpys(self, seeds):
+        n = 1000
+        settings = bell_angle_settings(Visibility(v=0.9), Efficiency(eta=0.7))
+        probabilities = [
+            joint_probability_at_phase(delta, settings.v, settings.eta)
+            for delta in settings.phase_differences()
+        ]
+        states = list(_pcg64_states(np.array(seeds, dtype=np.uint64)))
+        counts = simulate_counts(McConfig(seed=seeds, trials_per_setting=n, settings=settings))
+        for row, seed in enumerate(seeds):
+            for term_index, p in enumerate(probabilities):
+                rng = numpy_term_rng(seed, term_index)
+                expected = rng.bit_generator.state["state"]
+                assert states[4 * row + term_index] == (expected["state"], expected["inc"])
+                assert counts[term_index][row] == rng.binomial(n, p)
+
+    def test_blocks_of_seeds_match_one_seed_at_a_time(self):
+        # 600 seeds span three blocks; each row equals its one-seed run.
+        seeds = range(2**64 - 600, 2**64)
+        settings = bell_angle_settings(Visibility(v=0.8))
+        batched = estimate_ch(McConfig(seed=seeds, trials_per_setting=500, settings=settings))
+        for row, seed in enumerate(seeds):
+            single = estimate_ch(McConfig(seed=seed, trials_per_setting=500, settings=settings))
+            assert single.statistic_hat == batched.statistic_hat[row]
+            assert single.std_error == batched.std_error[row]
+            assert single.sigma_violation == batched.sigma_violation[row]
+            assert single.counts == tuple(int(count[row]) for count in batched.counts)
+
+    def test_frequencies_round_once_as_python_does(self):
+        # Above 2**53 a float64 conversion of count and n would round before
+        # the division; about 1 in 400 of these quotients would then differ.
+        n = 2**63 - 1
+        counts = np.random.default_rng(8).integers(0, n, 10_000)
+        assert _frequencies(counts, n).tolist() == [int(count) / n for count in counts]
+
+    def test_one_seed_gives_python_numbers(self):
+        estimate = estimate_ch(McConfig(seed=np.uint64(3), trials_per_setting=100,
+                                        settings=bell_angle_settings(Visibility(v=0.9))))
+        assert type(estimate.statistic_hat) is float and type(estimate.std_error) is float
+        assert type(estimate.sigma_violation) is float
+        assert all(type(count) is int for count in estimate.counts)
+
+    @pytest.mark.parametrize(
+        "seeds,bad",
+        [([0, -1, -2], "-1"), (range(2**64 - 1, 2**64 + 2), "18446744073709551616"),
+         ([1, 2.0], "2.0"), ([3, True], "True"), (np.array([[1, 2]]), "array")],
+    )
+    def test_sequence_names_its_first_bad_seed(self, seeds, bad):
+        with pytest.raises(ValueError, match=f"seed must be .*, got {bad}"):
+            McConfig(seed=seeds, trials_per_setting=10,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
+
+    @pytest.mark.parametrize(
+        "seeds,message",
+        [([2**64 - 1, 2**64], "trials_per_setting"), ([-1, 5], "seed"), (7, "trials_per_setting")],
+    )
+    def test_errors_come_in_one_seed_order(self, seeds, message):
+        # As a loop of one-seed configs: the first seed, the sample size,
+        # then the other seeds.
+        with pytest.raises(ValueError, match=f"^{message} must"):
+            McConfig(seed=seeds, trials_per_setting=0,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
+
+    def test_long_range_fails_at_its_first_bad_seed(self):
+        # The range is never built: checking stops at its first element.
+        with pytest.raises(ValueError, match="got -2$"):
+            McConfig(seed=range(-2, 10**30), trials_per_setting=10,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
 
 
 class TestEstimateCh:
