@@ -29,8 +29,9 @@ four independent binomial variances in quadrature.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,37 +59,36 @@ def _checked_seed(value: object) -> object:
     return value
 
 
-def _checked_seeds(seed: int | Iterable[int]) -> Iterator[object]:
-    """The elements of ``seed`` (an integer is one element), each checked as
-    it is reached, so a long range fails at its first bad seed unbuilt."""
-    try:
-        elements = iter(seed)
-    except TypeError:  # an integer (or a 0-d array) is the one-seed case
-        elements = iter((seed,))
-    return map(_checked_seed, elements)
+def _seed_array(seed: object) -> np.ndarray:
+    """``seed`` as a uint64 array: 0-d for one integer, 1-d for a sequence.
+
+    A sequence is a range, list, tuple or 1-d array. Its elements are checked
+    in order, so a long range fails at its first bad seed without being built.
+    """
+    if isinstance(seed, (range, list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim == 1):
+        seeds = np.fromiter(map(_checked_seed, seed), np.uint64)
+        if seeds.size == 0:
+            raise ValueError("seed must not be an empty sequence")
+        return seeds
+    return np.array(_checked_seed(seed), np.uint64)
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Reproducible coincidence experiments: seeds, sample size, settings.
 
-    ``seed`` is an integer or a 1-d sequence of integers (a list, a range or
-    an integer array), each in [0, 2**64); every seed is one experiment with
-    the same sample size and settings. ``seeds`` holds them as a 1-d uint64
-    array.
+    ``seed`` is an integer or a sequence of integers (a range, list, tuple or
+    1-d integer array), each in [0, 2**64); every seed is one experiment with
+    the same sample size and settings. ``seeds`` holds them as a uint64 array,
+    0-d for an integer seed and 1-d for a sequence.
     """
 
-    seed: int | Iterable[int]
+    seed: int | Sequence[int] | np.ndarray
     trials_per_setting: int
     settings: ChSettings
     seeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # A run reports the error a loop of one-seed configs would meet first:
-        # the first seed is checked, then the sample size and settings, then
-        # the other seeds.
-        seeds = _checked_seeds(self.seed)
-        head = list(itertools.islice(seeds, 1))
         if not 1 <= _integer("trials_per_setting", self.trials_per_setting) <= _MAX_TRIALS:
             raise ValueError(
                 f"trials_per_setting must lie in [1, 2**63 - 1], "
@@ -103,7 +103,7 @@ class McConfig:
             raise ValueError("settings must hold scalar phases and a scalar visibility")
         if star_probability(s.eta) == 0.0:  # the estimator divides by it
             raise ValueError(f"eta^2 must not underflow to 0, got eta = {s.eta.eta!r}")
-        object.__setattr__(self, "seeds", np.fromiter(itertools.chain(head, seeds), np.uint64))
+        object.__setattr__(self, "seeds", _seed_array(self.seed))
 
 
 def _python(value: np.ndarray | np.generic) -> object:
@@ -236,26 +236,30 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     ]
     bit_generator = np.random.PCG64(0)  # each draw loads its own state first
     generator = np.random.Generator(bit_generator)
-    stream: dict[str, int] = {}
-    state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
-    counts = np.empty((cfg.seeds.size, _TERMS), dtype=np.int64)
-    for first in range(0, cfg.seeds.size, _SEED_BLOCK):
-        streams = _pcg64_states(cfg.seeds[first:first + _SEED_BLOCK])
+    stream = {"state": 0, "inc": 0}  # reused: each draw sets its own values
+    loaded = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    seeds = cfg.seeds.reshape(-1)
+    counts = np.empty((seeds.size, _TERMS), dtype=np.int64)
+    for first in range(0, seeds.size, _SEED_BLOCK):
         block = []
-        for p, (stream["state"], stream["inc"]) in zip(itertools.cycle(probabilities), streams):
-            bit_generator.state = state
+        for p, (state, inc) in zip(itertools.cycle(probabilities),
+                                   _pcg64_states(seeds[first:first + _SEED_BLOCK])):
+            stream["state"] = state
+            stream["inc"] = inc
+            bit_generator.state = loaded
             block.append(generator.binomial(cfg.trials_per_setting, p))
         counts[first:first + _SEED_BLOCK] = np.reshape(block, (-1, _TERMS))
-    if isinstance(cfg.seed, (int, np.integer)):
+    if cfg.seeds.ndim == 0:
         return tuple(counts[0].tolist())
     return tuple(counts.T)
 
 
-def _frequencies(counts: np.ndarray, n: int) -> np.ndarray:
-    """``counts / n`` rounded once, as Python divides ints."""
-    if n <= 2**53:  # both operands convert to float64 exactly
-        return counts / n
-    return np.array([count / n for count in counts.ravel().tolist()]).reshape(counts.shape)
+def _estimate(counts: Sequence[int], n: int, eta2: float) -> tuple[float, float]:
+    """Plug-in margin and standard error from one seed's four counts."""
+    p_hat = [count / n for count in counts]
+    statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
+    variance = sum(p * (1.0 - p) / n for p in p_hat)
+    return statistic_hat, math.sqrt(variance) / eta2
 
 
 def estimate_ch(cfg: McConfig) -> McEstimate:
@@ -263,22 +267,15 @@ def estimate_ch(cfg: McConfig) -> McEstimate:
     counts = simulate_counts(cfg)
     n = cfg.trials_per_setting
     eta2 = star_probability(cfg.settings.eta)
-    p_hat = _frequencies(np.array(counts), n)  # (terms,) or (terms, seeds)
-    with np.errstate(over="ignore"):  # as Python's float division, overflow gives inf
-        statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
-        terms = (p_hat * (1.0 - p_hat) / n).reshape(_TERMS, -1)
-        # Python's own sum of each seed's four floats (from Python 3.12 it
-        # compensates rounding), taken a block of seeds at a time.
-        per_seed = itertools.chain.from_iterable(
-            terms[:, first:first + _SEED_BLOCK].T.tolist()
-            for first in range(0, terms.shape[1], _SEED_BLOCK)
-        )
-        variance = np.fromiter(map(sum, per_seed), np.float64, terms.shape[1])
-        variance = variance.reshape(p_hat.shape[1:])
-        std_error = np.sqrt(variance) / eta2
+    if cfg.seeds.ndim == 0:
+        statistic_hat, std_error = _estimate(counts, n, eta2)
+    else:  # seed by seed, so each row is the one-seed estimate to the bit
+        rows = zip(*(count.tolist() for count in counts))
+        estimates = (_estimate(row, n, eta2) for row in rows)
+        statistic_hat, std_error = np.fromiter(estimates, (np.float64, 2), cfg.seeds.size).T
     return McEstimate(
-        statistic_hat=_python(statistic_hat),
-        std_error=_python(std_error),
+        statistic_hat=statistic_hat,
+        std_error=std_error,
         counts=counts,
         trials=n,
     )

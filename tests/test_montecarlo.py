@@ -21,7 +21,6 @@ from pathent.correlations import (
 from pathent.montecarlo import (
     McConfig,
     McEstimate,
-    _frequencies,
     _pcg64_states,
     estimate_ch,
     simulate_counts,
@@ -241,13 +240,6 @@ class TestBatchedSeeding:
             assert single.sigma_violation == batched.sigma_violation[row]
             assert single.counts == tuple(int(count[row]) for count in batched.counts)
 
-    def test_frequencies_round_once_as_python_does(self):
-        # Above 2**53 a float64 conversion of count and n would round before
-        # the division; about 1 in 400 of these quotients would then differ.
-        n = 2**63 - 1
-        counts = np.random.default_rng(8).integers(0, n, 10_000)
-        assert _frequencies(counts, n).tolist() == [int(count) / n for count in counts]
-
     def test_one_seed_gives_python_numbers(self):
         estimate = estimate_ch(McConfig(seed=np.uint64(3), trials_per_setting=100,
                                         settings=bell_angle_settings(Visibility(v=0.9))))
@@ -265,16 +257,27 @@ class TestBatchedSeeding:
             McConfig(seed=seeds, trials_per_setting=10,
                      settings=bell_angle_settings(UNIT_VISIBILITY))
 
-    @pytest.mark.parametrize(
-        "seeds,message",
-        [([2**64 - 1, 2**64], "trials_per_setting"), ([-1, 5], "seed"), (7, "trials_per_setting")],
-    )
-    def test_errors_come_in_one_seed_order(self, seeds, message):
-        # As a loop of one-seed configs: the first seed, the sample size,
-        # then the other seeds.
-        with pytest.raises(ValueError, match=f"^{message} must"):
-            McConfig(seed=seeds, trials_per_setting=0,
+    @pytest.mark.parametrize("seed", [b"ab", "12", iter([1, 2]), {1, 2}, np.array(5)],
+                             ids=["bytes", "str", "iterator", "set", "0-d-array"])
+    def test_other_iterables_are_not_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            McConfig(seed=seed, trials_per_setting=10,
                      settings=bell_angle_settings(UNIT_VISIBILITY))
+
+    @pytest.mark.parametrize("seeds", [[], (), range(0), np.array([], dtype=np.uint64)],
+                             ids=["list", "tuple", "range", "array"])
+    def test_empty_sequence_rejected(self, seeds):
+        with pytest.raises(ValueError, match="empty"):
+            McConfig(seed=seeds, trials_per_setting=10,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
+
+    def test_one_seed_or_many_is_the_shape_of_seeds(self):
+        settings = bell_angle_settings(UNIT_VISIBILITY)
+        assert McConfig(seed=5, trials_per_setting=10, settings=settings).seeds.shape == ()
+        assert McConfig(seed=(5,), trials_per_setting=10, settings=settings).seeds.shape == (1,)
+        counts = simulate_counts(McConfig(seed=[5], trials_per_setting=10, settings=settings))
+        assert [count.tolist() for count in counts] == [[c] for c in simulate_counts(
+            McConfig(seed=5, trials_per_setting=10, settings=settings))]
 
     def test_long_range_fails_at_its_first_bad_seed(self):
         # The range is never built: checking stops at its first element.
