@@ -23,13 +23,15 @@ The plug-in estimator of the normalized CH74 margin is
 
 with p_i the empirical coincidence frequencies; the star terms are exact
 constants and contribute no variance. The standard error propagates the
-four independent binomial variances in quadrature.
+four independent binomial variances in quadrature. The estimator is one
+array pass over the seeds, and for a given numpy its output is the same on
+every supported Python. NEP 19 keeps the bit-generator streams stable but
+lets ``Generator`` distributions such as binomial change between releases.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -95,11 +97,7 @@ class McConfig:
                 f"got {self.trials_per_setting!r}"
             )
         s = self.settings
-        try:  # five scalars make a 1-d array; ragged shapes raise ValueError
-            scalar = np.asarray((s.phi1, s.phi1_prime, s.phi2, s.phi2_prime, s.v.v)).ndim == 1
-        except ValueError:
-            scalar = False
-        if not scalar:
+        if any(np.ndim(x) for x in (s.phi1, s.phi1_prime, s.phi2, s.phi2_prime, s.v.v)):
             raise ValueError("settings must hold scalar phases and a scalar visibility")
         if star_probability(s.eta) == 0.0:  # the estimator divides by it
             raise ValueError(f"eta^2 must not underflow to 0, got eta = {s.eta.eta!r}")
@@ -249,33 +247,24 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
             bit_generator.state = loaded
             block.append(generator.binomial(cfg.trials_per_setting, p))
         counts[first:first + _SEED_BLOCK] = np.reshape(block, (-1, _TERMS))
-    if cfg.seeds.ndim == 0:
-        return tuple(counts[0].tolist())
-    return tuple(counts.T)
-
-
-def _estimate(counts: Sequence[int], n: int, eta2: float) -> tuple[float, float]:
-    """Plug-in margin and standard error from one seed's four counts."""
-    p_hat = [count / n for count in counts]
-    statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
-    variance = sum(p * (1.0 - p) / n for p in p_hat)
-    return statistic_hat, math.sqrt(variance) / eta2
+    return tuple(_python(count.reshape(cfg.seeds.shape)) for count in counts.T)
 
 
 def estimate_ch(cfg: McConfig) -> McEstimate:
-    """Plug-in estimate of the normalized CH74 margin from simulated counts."""
+    """Plug-in estimate of the normalized CH74 margin from simulated counts.
+
+    One array pass over the seeds; an integer seed gives Python floats.
+    """
     counts = simulate_counts(cfg)
-    n = cfg.trials_per_setting
+    n = int(cfg.trials_per_setting)
     eta2 = star_probability(cfg.settings.eta)
-    if cfg.seeds.ndim == 0:
-        statistic_hat, std_error = _estimate(counts, n, eta2)
-    else:  # seed by seed, so each row is the one-seed estimate to the bit
-        rows = zip(*(count.tolist() for count in counts))
-        estimates = (_estimate(row, n, eta2) for row in rows)
-        statistic_hat, std_error = np.fromiter(estimates, (np.float64, 2), cfg.seeds.size).T
+    # Python int division rounds each c / n once, for any n up to 2**63 - 1.
+    p = [np.reshape([c / n for c in np.ravel(count).tolist()], cfg.seeds.shape) for count in counts]
+    t0, t1, t2, t3 = (q * (1.0 - q) / n for q in p)
     return McEstimate(
-        statistic_hat=statistic_hat,
-        std_error=std_error,
+        statistic_hat=_python((p[0] - p[1] + p[2] + p[3] - 2.0 * eta2) / eta2),
+        # Left to right, unlike sum(), which compensates from Python 3.12 on.
+        std_error=_python(np.sqrt(t0 + t1 + t2 + t3) / eta2),
         counts=counts,
-        trials=n,
+        trials=cfg.trials_per_setting,
     )

@@ -99,12 +99,6 @@ class FourModeState:
     def is_zero(self) -> bool:
         return not np.any(self._amp)
 
-    def normalized(self) -> "FourModeState":
-        norm = math.sqrt(self.norm_squared)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return FourModeState(self._amp / norm)
-
     def terms(self) -> dict[Pattern, complex]:
         """Nonzero amplitudes keyed by occupation pattern."""
         out: dict[Pattern, complex] = {}
@@ -213,15 +207,15 @@ def schmidt_coefficients(state: FourModeState, cut: Bipartition) -> np.ndarray:
     return np.linalg.svd(_bipartite_matrix(state, cut), compute_uv=False)
 
 
-def schmidt_rank(
-    state: FourModeState, cut: Bipartition, tol: float = 1e-10
-) -> int:
-    """Number of Schmidt coefficients above tol relative to the largest.
+#: Schmidt coefficients at or below this fraction of the largest count as zero.
+_RANK_TOL = 1e-10
+
+
+def schmidt_rank(state: FourModeState, cut: Bipartition) -> int:
+    """Number of Schmidt coefficients above 1e-10 times the largest.
 
     Rank 1 means the state factorizes across the cut; rank >= 2 witnesses
     entanglement between the two mode groups.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     coeffs = schmidt_coefficients(state, cut)
-    return int(np.count_nonzero(coeffs > tol * coeffs[0]))
+    return int(np.count_nonzero(coeffs > _RANK_TOL * coeffs[0]))

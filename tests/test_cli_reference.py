@@ -110,7 +110,8 @@ def reference_mc_bell(cfg):
         ]
         p_hat = [count / n for count in counts]
         statistic_hat = (p_hat[0] - p_hat[1] + p_hat[2] + p_hat[3] - 2.0 * eta2) / eta2
-        std_error = math.sqrt(sum(p * (1.0 - p) / n for p in p_hat)) / eta2
+        t0, t1, t2, t3 = (p * (1.0 - p) / n for p in p_hat)
+        std_error = math.sqrt(t0 + t1 + t2 + t3) / eta2
         if std_error > 0.0:
             sigma = statistic_hat / std_error
         else:

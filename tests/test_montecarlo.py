@@ -107,6 +107,13 @@ class TestSimulateCounts:
         numpy = McConfig(seed=np.int64(7), trials_per_setting=np.uint32(1000), settings=settings)
         assert simulate_counts(numpy) == simulate_counts(plain)
 
+    def test_numpy_trials_estimate_like_python_ints(self):
+        # Above 2**53 a float64 division would round c and n before dividing.
+        settings = bell_angle_settings(Visibility(v=0.9))
+        plain = McConfig(seed=7, trials_per_setting=2**53 + 1, settings=settings)
+        numpy = McConfig(seed=7, trials_per_setting=np.uint64(2**53 + 1), settings=settings)
+        assert estimate_ch(numpy) == estimate_ch(plain)
+
     @pytest.mark.parametrize(
         "field,value",
         [("v", Visibility(v=np.array([0.5, 0.9]))), ("v", Visibility(v=np.array([0.9]))),
@@ -323,7 +330,8 @@ class TestEstimateCh:
         eta2 = 0.6 * 0.6
         p = [c / n for c in estimate.counts]
         assert estimate.statistic_hat == (p[0] - p[1] + p[2] + p[3] - 2.0 * eta2) / eta2
-        assert estimate.std_error == math.sqrt(sum(q * (1.0 - q) / n for q in p)) / eta2
+        t0, t1, t2, t3 = (q * (1.0 - q) / n for q in p)
+        assert estimate.std_error == math.sqrt(t0 + t1 + t2 + t3) / eta2
 
     def test_error_shrinks_with_sample_size(self):
         # Median absolute error over 20 seeds must decrease along the ladder.

@@ -184,10 +184,6 @@ class TestSchmidt:
         with pytest.raises(ValueError):
             schmidt_rank(FourModeState.zero(), DETECTOR_BIPARTITION)
 
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            schmidt_rank(postselected_state(), DETECTOR_BIPARTITION, tol=0.0)
-
     @pytest.mark.parametrize(
         "left,right",
         [((), (1, 2, 3, 4)), ((1, 2), (2, 3, 4)), ((1,), (2, 3))],
@@ -212,7 +208,3 @@ class TestFourModeState:
         state = postselected_state()
         with pytest.raises(ValueError):
             state.amplitudes[0, 0, 0, 0] = 5.0
-
-    def test_normalize_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            FourModeState.zero().normalized()
