@@ -14,8 +14,7 @@ differences (pi/4, 3pi/4, pi/4, pi/4): the inequality is violated exactly
 when the visibility exceeds 1/sqrt(2).
 
 All statistics here are reported divided by eta^2, which makes them
-independent of the detection efficiency; ``ChResult.raw_terms`` restores the
-raw probabilities.
+independent of the detection efficiency.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from .correlations import (
     Visibility,
     joint_probability_at_phase,
 )
-
-SIX_TERMS = 6
 
 #: Margins below this are numerical noise, not violations; at the critical
 #: visibility the true margin is exactly zero and rounding must not flip it.
@@ -74,37 +71,23 @@ class ChSettings:
 class ChResult:
     """Evaluated CH74 expression for one settings tuple.
 
-    ``terms`` holds the six probabilities in units of eta^2 (order: r1r2,
-    r1r2', r1'r2, r1'r2', r1'*, *r2); storing them normalized keeps the
-    statistic bit-identical across efficiencies and exactly recomputable.
-    ``statistic`` is the normalized upper-bound margin (violation iff > 0)
-    and ``lower_margin`` the normalized headroom above the -P(*,*) bound.
-    For array phases or visibilities, the four setting-dependent terms, the
-    two margins and ``violated`` are arrays over their broadcast shape.
+    Built by ``ch_statistic``. ``terms`` holds the six probabilities in
+    units of eta^2 (order: r1r2, r1r2', r1'r2, r1'r2', r1'*, *r2); storing
+    them normalized keeps the statistic bit-identical across efficiencies,
+    and their signed sum t1 - t2 + t3 + t4 - t5 - t6 is ``statistic``
+    exactly. ``statistic`` is the normalized upper-bound margin (violation
+    iff > 0) and ``lower_margin`` the normalized headroom above the -P(*,*)
+    bound. For array phases or visibilities, the four setting-dependent
+    terms, the two margins and ``violated`` are arrays over their broadcast
+    shape.
     """
 
-    statistic: float
-    lower_margin: float
-    terms: tuple[float, float, float, float, float, float]
-    eta: float
-
-    def __post_init__(self) -> None:
-        if len(self.terms) != SIX_TERMS:
-            raise ValueError("exactly six probability terms expected")
+    statistic: float | np.ndarray
+    lower_margin: float | np.ndarray
+    terms: tuple[float | np.ndarray, ...]
 
     @property
-    def raw_terms(self) -> tuple[float, ...]:
-        """The six probabilities with the eta^2 scale restored."""
-        eta2 = self.eta * self.eta
-        return tuple(eta2 * term for term in self.terms)
-
-    def recompute_statistic(self) -> float:
-        """Signed sum of the stored terms; equals ``statistic`` exactly."""
-        t1, t2, t3, t4, t5, t6 = self.terms
-        return t1 - t2 + t3 + t4 - t5 - t6
-
-    @property
-    def violated(self) -> bool:
+    def violated(self) -> bool | np.ndarray:
         """True when the margin exceeds the numerical-noise tolerance."""
         return self.statistic > VIOLATION_TOL
 
@@ -132,12 +115,7 @@ def ch_statistic(settings: ChSettings) -> ChResult:
     star = star_probability(UNIT_EFFICIENCY)
     terms = (u[0], u[1], u[2], u[3], star, star)
     statistic = terms[0] - terms[1] + terms[2] + terms[3] - terms[4] - terms[5]
-    return ChResult(
-        statistic=statistic,
-        lower_margin=statistic + 1.0,
-        terms=terms,
-        eta=settings.eta.eta,
-    )
+    return ChResult(statistic=statistic, lower_margin=statistic + 1.0, terms=terms)
 
 
 def bell_angle_settings(

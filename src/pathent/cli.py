@@ -54,14 +54,6 @@ from .quantum_core import FieldParams, two_photon_amplitude
 TWO_PI = 2.0 * math.pi
 
 
-class ConfigError(ValueError):
-    """Raised for semantically invalid configuration (exit status 3).
-
-    Subclasses ValueError so argparse treats it as a normal conversion
-    failure (usage error) when raised inside a flag's type callable.
-    """
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -70,9 +62,9 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from None
+        raise ValueError(f"bad float list {text!r}: {exc}") from None
     if not values:
-        raise ConfigError(f"empty value list {text!r}")
+        raise ValueError(f"empty value list {text!r}")
     return values
 
 
@@ -115,7 +107,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from None
     entries: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -123,11 +115,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         if key in key_lines:
-            raise ConfigError(
+            raise ValueError(
                 f"{path}:{lineno}: config key {key!r} already set on line {key_lines[key]}"
             )
         key_lines[key] = lineno
@@ -144,24 +136,17 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         for key, raw_value in _read_config_file(args.config).items():
             if key not in keys:
-                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+                raise ValueError(f"unknown config key {key!r} for command {command!r}")
             try:
                 options[key] = _OPTIONS[key][0](raw_value)
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
+                raise ValueError(f"bad value for {key!r}: {exc}") from None
 
     for key in keys:
         flag_value = getattr(args, key)
         if flag_value is not None:
             options[key] = flag_value
     return RunConfig(command=command, **options)
-
-
-def _domain(factory: Callable[..., object], **kwargs) -> object:
-    try:
-        return factory(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _linspace(start: float, stop: float, count: int, axis: str, what: str) -> np.ndarray:
@@ -171,9 +156,9 @@ def _linspace(start: float, stop: float, count: int, axis: str, what: str) -> np
     the count) in error messages.
     """
     if count < 1:
-        raise ConfigError(f"{what} must be >= 1, got {count}")
+        raise ValueError(f"{what} must be >= 1, got {count}")
     if not math.isfinite(stop - start):  # also catches a non-finite end
-        raise ConfigError(
+        raise ValueError(
             f"{axis}_start and {axis}_stop must be finite with a finite difference, "
             f"got {start!r} and {stop!r}"
         )
@@ -187,17 +172,17 @@ def _csv_text(rows: list[str]) -> str:
 
 
 def _run_g2_scan(cfg: RunConfig) -> str:
-    params: FieldParams = _domain(FieldParams, e0=cfg.e0)
-    vis: Visibility = _domain(Visibility, v=cfg.visibility)
-    eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
-    geometry: EmitterPair = _domain(EmitterPair, kd=cfg.kd)
-    det_ref: DetectorSetting = _domain(DetectorSetting, xi=cfg.xi_ref)
+    params = FieldParams(e0=cfg.e0)
+    vis = Visibility(v=cfg.visibility)
+    eff = Efficiency(eta=cfg.eta)
+    geometry = EmitterPair(kd=cfg.kd)
+    det_ref = DetectorSetting(xi=cfg.xi_ref)
 
     if cfg.xi_start is not None or cfg.xi_stop is not None:
         if cfg.xi_start is None or cfg.xi_stop is None:
-            raise ConfigError("angle mode needs both xi_start and xi_stop")
+            raise ValueError("angle mode needs both xi_start and xi_stop")
         xi = _linspace(cfg.xi_start, cfg.xi_stop, cfg.points, "xi", "points")
-        det: DetectorSetting = _domain(DetectorSetting, xi=xi)
+        det = DetectorSetting(xi=xi)
         delta = phase_difference(geometry, det_ref, det)
     else:
         delta = _linspace(cfg.phi_start, cfg.phi_stop, cfg.points, "phi", "points")
@@ -209,12 +194,12 @@ def _run_g2_scan(cfg: RunConfig) -> str:
 
 
 def _run_bell_test(cfg: RunConfig) -> str:
-    eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
+    eff = Efficiency(eta=cfg.eta)
     if cfg.v_grid is not None:
         v = np.array(cfg.v_grid)
     else:
         v = _linspace(cfg.v_start, cfg.v_stop, cfg.v_points, "v", "v_points")
-    vis: Visibility = _domain(Visibility, v=v)
+    vis = Visibility(v=v)
     result = ch_statistic(bell_angle_settings(vis, eff))
     columns = zip(v, result.statistic, result.lower_margin, result.violated)
     rows = ["v,statistic,lower_margin,violated"]
@@ -226,16 +211,14 @@ def _run_bell_test(cfg: RunConfig) -> str:
 
 
 def _run_mc_bell(cfg: RunConfig) -> str:
-    vis: Visibility = _domain(Visibility, v=cfg.visibility)
-    eff: Efficiency = _domain(Efficiency, eta=cfg.eta)
+    vis = Visibility(v=cfg.visibility)
+    eff = Efficiency(eta=cfg.eta)
     if cfg.num_seeds < 1:
-        raise ConfigError(f"num_seeds must be >= 1, got {cfg.num_seeds}")
+        raise ValueError(f"num_seeds must be >= 1, got {cfg.num_seeds}")
     seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
-    mc_config: McConfig = _domain(
-        McConfig, seed=seeds, trials_per_setting=cfg.trials,
-        settings=bell_angle_settings(vis, eff),
-    )
-    estimate = estimate_ch(mc_config)
+    estimate = estimate_ch(McConfig(
+        seed=seeds, trials_per_setting=cfg.trials, settings=bell_angle_settings(vis, eff)
+    ))
     columns = zip(seeds, estimate.statistic_hat, estimate.std_error, estimate.sigma_violation)
     rows = ["seed,trials,statistic_hat,std_error,sigma_violation"]
     rows.extend(
@@ -250,10 +233,10 @@ _PATH_CHECK_ROWS = 16
 
 
 def _run_path_check(cfg: RunConfig) -> str:
-    geometry: EmitterPair = _domain(EmitterPair, kd=cfg.kd)
-    params: FieldParams = _domain(FieldParams, e0=cfg.e0)
+    geometry = EmitterPair(kd=cfg.kd)
+    params = FieldParams(e0=cfg.e0)
     if cfg.grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {cfg.grid_points}")
+        raise ValueError(f"grid_points must be >= 2, got {cfg.grid_points}")
 
     # Path-model coincidence signal vs the operator-algebra result over a
     # detector-angle grid; the scale factor e0^4/4 links the two.
@@ -271,7 +254,7 @@ def _run_path_check(cfg: RunConfig) -> str:
         path_g2 = scale * g2_path(phase_at(geometry, det1), phi2, UNIT_VISIBILITY)
         deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))
 
-    rank = schmidt_rank(postselected_state(normalized=True), DETECTOR_BIPARTITION)
+    rank = schmidt_rank(postselected_state(), DETECTOR_BIPARTITION)
     return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"
 
 
@@ -324,11 +307,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
 
+    # Every rejected value, from the config file or a domain object, is a
+    # ValueError; a MemoryError is a grid too large to allocate.
     try:
         config = _build_config(args)
         _, runner, _ = _COMMANDS[config.command]
         text = runner(config)
-    except (ConfigError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
+    except (ValueError, MemoryError) as exc:
         print(f"pathent: invalid configuration: {exc}", file=sys.stderr)
         return 3
 

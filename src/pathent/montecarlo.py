@@ -123,9 +123,14 @@ class McEstimate:
     trials: int
 
     def __post_init__(self) -> None:
+        for name in ("statistic_hat", "std_error"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if np.any(np.asarray(self.std_error) < 0.0):
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
         counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got {self.counts!r}")
         if np.any((counts < 0) | (counts > self.trials)):
             raise ValueError(f"counts must lie in [0, {self.trials}], got {self.counts!r}")
 

@@ -29,7 +29,6 @@ physically reachable ones.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -70,19 +69,11 @@ class FourModeState:
         self._amp = amp
 
     @classmethod
-    def zero(cls) -> "FourModeState":
-        return cls(np.zeros((2, 2, 2, 2), dtype=complex))
-
-    @classmethod
     def from_terms(cls, terms: Mapping[Pattern, complex]) -> "FourModeState":
         amp = np.zeros((2, 2, 2, 2), dtype=complex)
         for pattern, value in terms.items():
             amp[pattern] = value
         return cls(amp)
-
-    @classmethod
-    def basis_ket(cls, pattern: Pattern) -> "FourModeState":
-        return cls.from_terms({pattern: 1.0 + 0j})
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -92,21 +83,8 @@ class FourModeState:
     def amplitude(self, pattern: Pattern) -> complex:
         return complex(self._amp[pattern])
 
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self._amp) ** 2))
-
     def is_zero(self) -> bool:
         return not np.any(self._amp)
-
-    def terms(self) -> dict[Pattern, complex]:
-        """Nonzero amplitudes keyed by occupation pattern."""
-        out: dict[Pattern, complex] = {}
-        for pattern in itertools.product((0, 1), repeat=4):
-            value = complex(self._amp[pattern])
-            if value != 0:
-                out[pattern] = value
-        return out
 
 
 @dataclass(frozen=True)
@@ -134,16 +112,14 @@ class Bipartition:
 DETECTOR_BIPARTITION = Bipartition(left=(1, 2), right=(3, 4))
 
 
-def postselected_state(normalized: bool = False) -> FourModeState:
+def postselected_state() -> FourModeState:
     """Two-photon state surviving one-photon-per-detector post-selection.
 
-    Equal-weight superposition of the two quantum paths |1001> and |0110>;
-    pass ``normalized=True`` for amplitudes 1/sqrt(2) instead of 1.
+    The paper's unit-weight superposition |1001> + |0110> of the two quantum
+    paths, left unnormalized as ``final_amplitude`` assumes; the Schmidt rank
+    does not depend on the scale.
     """
-    weight = 1.0 / math.sqrt(2.0) if normalized else 1.0
-    return FourModeState.from_terms(
-        {(1, 0, 0, 1): weight, (0, 1, 1, 0): weight}
-    )
+    return FourModeState.from_terms({(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 1.0})
 
 
 def apply_detector(

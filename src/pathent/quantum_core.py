@@ -26,7 +26,6 @@ import numpy as np
 from .geometry import DetectorSetting, EmitterPair, phase_at
 
 _SQRT2 = math.sqrt(2.0)
-NORMALIZATION_TOL = 1e-12
 #: Exclusive upper bound on e0: the G2 scale e0**4 overflows from here on.
 _E0_LIMIT = sys.float_info.max ** 0.25
 
@@ -98,13 +97,6 @@ class AtomicState:
             + abs(self.amp_gg) ** 2
         )
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm_squared - 1.0) <= NORMALIZATION_TOL
-
-    def is_zero(self) -> bool:
-        return self.norm_squared == 0.0
-
     def __add__(self, other: "AtomicState") -> "AtomicState":
         return AtomicState(
             amp_ee=self.amp_ee + other.amp_ee,
@@ -138,18 +130,16 @@ def apply_field_negative(
     detector: DetectorSetting,
     params: FieldParams,
     state: AtomicState,
-    global_phase: float | np.ndarray = 0.0,
 ) -> AtomicState:
     """Apply E^(-)(r) = (E0/sqrt(2)) (S_A^- + e^{-i phi(r)} S_B^-) to the state.
 
-    ``global_phase`` multiplies both emission paths by a common e^{i theta};
-    it exists so gauge independence of every squared modulus can be checked.
+    The operator is linear, so a common phase on the input state carries
+    through unchanged and leaves every squared modulus as it is.
     """
     phi = phase_at(geometry, detector)
     branch_a = lowering(Atom.A, state)
     branch_b = lowering(Atom.B, state).scaled(np.exp(-1j * phi))
-    prefactor = (params.e0 / _SQRT2) * np.exp(1j * global_phase)
-    return (branch_a + branch_b).scaled(prefactor)
+    return (branch_a + branch_b).scaled(params.e0 / _SQRT2)
 
 
 def two_photon_amplitude(

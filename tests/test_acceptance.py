@@ -100,12 +100,13 @@ def test_criterion_4_path_state_sequence():
 
 def test_criterion_5_entanglement_witness():
     with criterion(5, "Schmidt-rank entanglement witness"):
-        state = postselected_state(normalized=True)
+        state = postselected_state()
         assert schmidt_rank(state, DETECTOR_BIPARTITION) == 2
         coeffs = schmidt_coefficients(state, DETECTOR_BIPARTITION)
         assert abs(coeffs[0] - coeffs[1]) < 1e-12
         for pattern in itertools.product((0, 1), repeat=4):
-            assert schmidt_rank(FourModeState.basis_ket(pattern), DETECTOR_BIPARTITION) == 1
+            ket = FourModeState.from_terms({pattern: 1.0})
+            assert schmidt_rank(ket, DETECTOR_BIPARTITION) == 1
 
 
 def test_criterion_6_monte_carlo_violation():

@@ -130,14 +130,16 @@ class TestChStatistic:
     @given(phi1=phases, phi1p=phases, phi2=phases, phi2p=phases, v=vis_values)
     def test_reconstruction_from_terms_exact(self, phi1, phi1p, phi2, phi2p, v):
         result = ch_statistic(settings_with(phi1, phi1p, phi2, phi2p, v=v))
-        assert result.recompute_statistic() == result.statistic
+        t1, t2, t3, t4, t5, t6 = result.terms
+        assert t1 - t2 + t3 + t4 - t5 - t6 == result.statistic
         assert result.lower_margin == result.statistic + 1.0
 
     def test_raw_terms_restore_eta_scale(self):
         result = ch_statistic(bell_angle_settings(Visibility(v=0.8), Efficiency(eta=0.4)))
         eta2 = 0.4 * 0.4
-        assert result.raw_terms == tuple(eta2 * t for t in result.terms)
-        assert result.raw_terms[4] == pytest.approx(eta2)
+        raw = joint_probability_at_phase(math.pi / 4, Visibility(v=0.8), Efficiency(eta=0.4))
+        assert eta2 * result.terms[0] == pytest.approx(raw, rel=1e-15)
+        assert eta2 * result.terms[4] == pytest.approx(star_probability(Efficiency(eta=0.4)))
         assert result.terms[4] == 1.0 and result.terms[5] == 1.0
 
     def test_agrees_with_vectorized_oracle(self):

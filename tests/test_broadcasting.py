@@ -1,6 +1,7 @@
 """Array inputs to the physics kernels: each result equals, bit for bit, the
 scalar kernel applied to every element."""
 
+import cmath
 import math
 
 import numpy as np
@@ -135,12 +136,13 @@ class TestQuantumCore:
     @given(kd=kds, e0=e0s, xi=angles, theta=st.floats(min_value=-math.pi, max_value=math.pi))
     def test_apply_field_negative(self, kd, e0, xi, theta):
         g, params = EmitterPair(kd=kd), FieldParams(e0=e0)
+        gauged = AtomicState.excited().scaled(cmath.exp(1j * theta))
         # Two applications, so the input state of the second carries arrays.
-        once = apply_field_negative(g, DetectorSetting(xi=xi), params, AtomicState.excited(), theta)
+        once = apply_field_negative(g, DetectorSetting(xi=xi), params, gauged)
         twice = apply_field_negative(g, DetectorSetting(xi=xi[::-1]), params, once)
 
         def scalar(x, x_rev, name):
-            one = apply_field_negative(g, DetectorSetting(xi=x), params, AtomicState.excited(), theta)
+            one = apply_field_negative(g, DetectorSetting(xi=x), params, gauged)
             return getattr(apply_field_negative(g, DetectorSetting(xi=x_rev), params, one), name)
 
         for name in AMPLITUDES:

@@ -87,7 +87,7 @@ def reference_path_check(cfg):
             operator_g2 = abs(two_photon_amplitude(geometry, det1, det2, params)) ** 2
             path_g2 = scale * g2_path(phi1, phi2, UNIT_VISIBILITY)
             deviation = max(deviation, abs(path_g2 - operator_g2))
-    rank = schmidt_rank(postselected_state(normalized=True), DETECTOR_BIPARTITION)
+    rank = schmidt_rank(postselected_state(), DETECTOR_BIPARTITION)
     return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"
 
 

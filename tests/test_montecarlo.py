@@ -378,3 +378,14 @@ class TestSigmaViolation:
             McEstimate(statistic_hat=0.0, std_error=-0.1, counts=(0, 0, 0, 0), trials=1)
         with pytest.raises(ValueError):
             McEstimate(statistic_hat=0.0, std_error=0.0, counts=(2, 0, 0, 0), trials=1)
+        for statistic_hat, std_error in ((math.nan, math.nan), (math.nan, 0.1), (math.inf, 0.1),
+                                         (0.0, math.nan), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                McEstimate(statistic_hat=statistic_hat, std_error=std_error,
+                           counts=(0, 0, 0, 0), trials=1)
+        with pytest.raises(ValueError, match="finite"):
+            McEstimate(statistic_hat=np.array([0.1, math.nan]), std_error=np.array([0.1, 0.1]),
+                       counts=(np.zeros(2, int),) * 4, trials=1)
+        for counts in ((0.5, 0, 0, 0), (0.0, 0, 0, 0), (np.full(2, 0.5),) * 4):
+            with pytest.raises(ValueError, match="integers"):
+                McEstimate(statistic_hat=0.0, std_error=0.0, counts=counts, trials=1)

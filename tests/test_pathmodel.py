@@ -30,18 +30,11 @@ ALL_PATTERNS = list(itertools.product((0, 1), repeat=4))
 
 class TestPostselectedState:
     def test_two_quantum_paths(self):
-        state = postselected_state()
-        assert state.terms() == {(1, 0, 0, 1): 1.0 + 0j, (0, 1, 1, 0): 1.0 + 0j}
-
-    def test_normalized_variant(self):
-        state = postselected_state(normalized=True)
-        weight = 1.0 / math.sqrt(2.0)
-        assert state.amplitude((1, 0, 0, 1)) == pytest.approx(weight)
-        assert state.amplitude((0, 1, 1, 0)) == pytest.approx(weight)
-        assert state.norm_squared == pytest.approx(1.0, abs=1e-15)
+        expected = FourModeState.from_terms({(1, 0, 0, 1): 1.0 + 0j, (0, 1, 1, 0): 1.0 + 0j})
+        assert np.array_equal(postselected_state().amplitudes, expected.amplitudes)
 
     def test_every_occupied_ket_holds_two_photons(self):
-        for pattern in postselected_state().terms():
+        for pattern in zip(*np.nonzero(postselected_state().amplitudes)):
             assert sum(pattern) == 2
 
 
@@ -51,19 +44,20 @@ class TestDetectorOperators:
         state = apply_detector(DetectorStage.FIRST, phi1, postselected_state())
         assert state.amplitude((0, 0, 0, 1)) == 1.0 + 0j
         assert state.amplitude((0, 0, 1, 0)) == cmath.exp(1j * phi1)
-        others = {p: a for p, a in state.terms().items() if p not in {(0, 0, 0, 1), (0, 0, 1, 0)}}
-        assert others == {}
+        expected = FourModeState.from_terms({(0, 0, 0, 1): 1.0, (0, 0, 1, 0): cmath.exp(1j * phi1)})
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
 
     def test_second_detection_reaches_vacuum(self):
         phi1, phi2 = 0.87, -1.91
         once = apply_detector(DetectorStage.FIRST, phi1, postselected_state())
         twice = apply_detector(DetectorStage.SECOND, phi2, once)
-        assert twice.terms().keys() <= {(0, 0, 0, 0)}
-        assert twice.amplitude((0, 0, 0, 0)) == final_amplitude(phi1, phi2)
+        expected = FourModeState.from_terms({(0, 0, 0, 0): final_amplitude(phi1, phi2)})
+        assert np.array_equal(twice.amplitudes, expected.amplitudes)
 
     def test_zero_state_stays_zero(self):
+        zero = FourModeState(np.zeros((2, 2, 2, 2)))
         for stage in DetectorStage:
-            assert apply_detector(stage, 1.23, FourModeState.zero()).is_zero()
+            assert apply_detector(stage, 1.23, zero).is_zero()
 
     @given(phi1=phases, phi2=phases)
     def test_composition_reproduces_final_amplitude_exactly(self, phi1, phi2):
@@ -150,7 +144,7 @@ class TestG2Path:
 
 class TestSchmidt:
     def test_postselected_state_is_maximally_path_entangled(self):
-        state = postselected_state(normalized=True)
+        state = FourModeState(postselected_state().amplitudes / math.sqrt(2.0))
         assert schmidt_rank(state, DETECTOR_BIPARTITION) == 2
         coeffs = schmidt_coefficients(state, DETECTOR_BIPARTITION)
         assert coeffs[0] == pytest.approx(coeffs[1], abs=1e-12)
@@ -158,7 +152,7 @@ class TestSchmidt:
 
     def test_every_basis_ket_is_separable(self):
         for pattern in ALL_PATTERNS:
-            ket = FourModeState.basis_ket(pattern)
+            ket = FourModeState.from_terms({pattern: 1.0})
             assert schmidt_rank(ket, DETECTOR_BIPARTITION) == 1
 
     def test_product_superposition_is_separable(self):
@@ -176,13 +170,28 @@ class TestSchmidt:
         assert schmidt_rank(product, DETECTOR_BIPARTITION) == 1
 
     def test_paths_entangled_across_other_cuts(self):
-        state = postselected_state(normalized=True)
+        state = postselected_state()
         assert schmidt_rank(state, Bipartition(left=(1,), right=(2, 3, 4))) == 2
         assert schmidt_rank(state, Bipartition(left=(1, 4), right=(2, 3))) == 2
 
+    @given(modulus=st.floats(min_value=1e-3, max_value=1e3),
+           angle=st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_rank_and_coefficient_ratios_ignore_scale(self, modulus, angle):
+        # path-check ranks the unit-weight state as it is, unnormalized.
+        factor = cmath.rect(modulus, angle)
+        kets = [FourModeState.from_terms({pattern: 1.0}) for pattern in ALL_PATTERNS]
+        for state in [postselected_state()] + kets:
+            scaled = FourModeState(factor * state.amplitudes)
+            assert schmidt_rank(scaled, DETECTOR_BIPARTITION) == schmidt_rank(
+                state, DETECTOR_BIPARTITION
+            )
+            plain = schmidt_coefficients(state, DETECTOR_BIPARTITION)
+            coeffs = schmidt_coefficients(scaled, DETECTOR_BIPARTITION)
+            assert np.allclose(coeffs / coeffs[0], plain / plain[0], rtol=0.0, atol=1e-12)
+
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
-            schmidt_rank(FourModeState.zero(), DETECTOR_BIPARTITION)
+            schmidt_rank(FourModeState(np.zeros((2, 2, 2, 2))), DETECTOR_BIPARTITION)
 
     @pytest.mark.parametrize(
         "left,right",
