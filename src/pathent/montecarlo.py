@@ -12,10 +12,10 @@ Every (seed, setting pair) draws from its own substream, numpy's
 counts depend only on (seed, trials, settings) and never on evaluation order
 or on the other seeds of a run. A run takes one seed or a sequence of them.
 The seeding is batched: the ``SeedSequence`` hash is evaluated as uint32
-array arithmetic over a block of seeds times the four terms, and each
-resulting PCG64 state is loaded into one reused generator before its draw.
-Numpy's stream-compatibility policy (NEP 19) fixes both algorithms, and the
-draws are bit-identical to building each generator with numpy.
+array arithmetic over a block of seeds times the four terms, and numpy seeds
+each stream's PCG64 from its four words. Numpy's stream-compatibility policy
+(NEP 19) fixes the hash, and the draws are bit-identical to building each
+generator with numpy.
 
 The plug-in estimator of the normalized CH74 margin is
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ _MAX_SEED = 2**64
 #: Largest sample size numpy's binomial sampler takes (a signed 64-bit integer).
 _MAX_TRIALS = 2**63 - 1
 #: Seeds hashed and drawn per pass of simulate_counts; bounds the working set
-#: (hashed words and 128-bit generator states) to this many seeds.
+#: (four hashed uint64 words per seed and term) to this many seeds.
 _SEED_BLOCK = 256
 _TERMS = 4
 
@@ -128,9 +128,11 @@ class McEstimate:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if np.any(np.asarray(self.std_error) < 0.0):
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu":
+        _integer("trials", self.trials)
+        # Each count on its own: np.asarray would promote a bool among ints.
+        if any(np.asarray(count).dtype.kind not in "iu" for count in self.counts):
             raise ValueError(f"counts must be integers, got {self.counts!r}")
+        counts = np.asarray(self.counts)
         if np.any((counts < 0) | (counts > self.trials)):
             raise ValueError(f"counts must lie in [0, {self.trials}], got {self.counts!r}")
 
@@ -206,24 +208,6 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return np.stack([words[i] | words[i + 1] << 32 for i in range(0, len(words), 2)], axis=-1)
 
 
-_MASK128 = (1 << 128) - 1
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_states(seeds: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(state, inc) of each seed's and term's PCG64, seed-major, as
-    ``pcg64_set_seed`` sets them from the four words.
-
-    The first two words are the initial state, the last two the stream (high
-    word first); PCG's srandom steps the generator once before and once after
-    adding the initial state.
-    """
-    words = _seed_words(seeds).reshape(-1, 4).astype(object)  # Python ints: 128-bit math
-    inc = ((words[:, 2] << 64 | words[:, 3]) << 1 | 1) & _MASK128
-    state = ((inc + (words[:, 0] << 64 | words[:, 1])) * _PCG_MULTIPLIER + inc) & _MASK128
-    return zip(state.tolist(), inc.tolist())
-
-
 def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     """Coincidence counts for the four setting pairs.
 
@@ -232,25 +216,34 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     phase difference; time and memory are constant in ``trials_per_setting``.
     An integer seed gives four ints, a sequence four arrays along the seeds.
     """
+    # Imported here: numpy.random loads lazily, and `import pathent.cli`
+    # stays free of its ~10 ms import for the commands that never draw.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamWords(ISeedSequence):
+        """One stream's hashed words, handed to numpy's PCG64 as its seed."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words  # PCG64 reads the buffer raw: 4 contiguous uint64
+
+        def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only 4 uint64 words are hashed, got {n_words} {dtype!r}")
+            return self.words
+
     settings = cfg.settings
     probabilities = [
         joint_probability_at_phase(delta, settings.v, settings.eta)
         for delta in settings.phase_differences()
     ]
-    bit_generator = np.random.PCG64(0)  # each draw loads its own state first
-    generator = np.random.Generator(bit_generator)
-    stream = {"state": 0, "inc": 0}  # reused: each draw sets its own values
-    loaded = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     seeds = cfg.seeds.reshape(-1)
     counts = np.empty((seeds.size, _TERMS), dtype=np.int64)
     for first in range(0, seeds.size, _SEED_BLOCK):
-        block = []
-        for p, (state, inc) in zip(itertools.cycle(probabilities),
-                                   _pcg64_states(seeds[first:first + _SEED_BLOCK])):
-            stream["state"] = state
-            stream["inc"] = inc
-            bit_generator.state = loaded
-            block.append(generator.binomial(cfg.trials_per_setting, p))
+        words = _seed_words(seeds[first:first + _SEED_BLOCK]).reshape(-1, 4)
+        block = [
+            np.random.Generator(np.random.PCG64(StreamWords(row))).binomial(cfg.trials_per_setting, p)
+            for p, row in zip(itertools.cycle(probabilities), words)
+        ]
         counts[first:first + _SEED_BLOCK] = np.reshape(block, (-1, _TERMS))
     return tuple(_python(count.reshape(cfg.seeds.shape)) for count in counts.T)
 

@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pathent
 from pathent.bell import bell_angle_settings, ch_statistic
 from pathent.correlations import Efficiency, Visibility
 from pathent.geometry import DetectorSetting, EmitterPair, phase_difference
@@ -682,3 +686,14 @@ class TestFuzz:
             for (row, name), value in output_numbers(out).items():
                 # an exact estimate with zero standard error is +-inf sigma by design
                 assert math.isfinite(value) or name == "sigma_violation", (row, name, value)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # Every command pays for what `import pathent.cli` loads; numpy.random
+    # (~10 ms) is imported only when mc-bell draws.
+    code = ("import sys, numpy; before = set(sys.modules); import pathent, pathent.cli; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(pathent.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout == "[]\n"

@@ -21,7 +21,7 @@ from pathent.correlations import (
 from pathent.montecarlo import (
     McConfig,
     McEstimate,
-    _pcg64_states,
+    _seed_words,
     estimate_ch,
     simulate_counts,
 )
@@ -215,7 +215,7 @@ EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 
 
 class TestBatchedSeeding:
-    """The batched SeedSequence/PCG64 port against numpy's own generators."""
+    """The batched SeedSequence port against numpy's own generators."""
 
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
     @example(EDGE_SEEDS)
@@ -226,14 +226,14 @@ class TestBatchedSeeding:
             joint_probability_at_phase(delta, settings.v, settings.eta)
             for delta in settings.phase_differences()
         ]
-        states = list(_pcg64_states(np.array(seeds, dtype=np.uint64)))
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
         counts = simulate_counts(McConfig(seed=seeds, trials_per_setting=n, settings=settings))
         for row, seed in enumerate(seeds):
             for term_index, p in enumerate(probabilities):
-                rng = numpy_term_rng(seed, term_index)
-                expected = rng.bit_generator.state["state"]
-                assert states[4 * row + term_index] == (expected["state"], expected["inc"])
-                assert counts[term_index][row] == rng.binomial(n, p)
+                sequence = np.random.SeedSequence(entropy=seed, spawn_key=(term_index,))
+                np.testing.assert_array_equal(
+                    words[row, term_index], sequence.generate_state(4, np.uint64), strict=True)
+                assert counts[term_index][row] == numpy_term_rng(seed, term_index).binomial(n, p)
 
     def test_blocks_of_seeds_match_one_seed_at_a_time(self):
         # 600 seeds span three blocks; each row equals its one-seed run.
@@ -386,6 +386,8 @@ class TestSigmaViolation:
         with pytest.raises(ValueError, match="finite"):
             McEstimate(statistic_hat=np.array([0.1, math.nan]), std_error=np.array([0.1, 0.1]),
                        counts=(np.zeros(2, int),) * 4, trials=1)
-        for counts in ((0.5, 0, 0, 0), (0.0, 0, 0, 0), (np.full(2, 0.5),) * 4):
+        for counts in ((0.5, 0, 0, 0), (0.0, 0, 0, 0), (np.full(2, 0.5),) * 4, (True, 0, 0, 0)):
             with pytest.raises(ValueError, match="integers"):
                 McEstimate(statistic_hat=0.0, std_error=0.0, counts=counts, trials=1)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            McEstimate(statistic_hat=0.0, std_error=0.0, counts=(0, 0, 0, 0), trials=True)
