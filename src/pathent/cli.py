@@ -14,8 +14,9 @@ command, keyed by its long flag name, each key at most once; explicit flags
 win over the file. A ``#`` that starts a line or follows whitespace starts a
 comment, so ``output = run#1.csv`` keeps its ``#`` and ``points = 3  # three``
 sets 3. Results are written as CSV with LF line endings to --output,
-or to stdout. Numbers carry 17 significant digits so every field parses back
-to the exact computed value. Diagnostics go to stderr; exit status is 0 on
+or to stdout, formatted and written in blocks of 1024 rows, so the text is
+never held whole. Numbers carry 17 significant digits so every field parses
+back to the exact computed value. Diagnostics go to stderr; exit status is 0 on
 success, 2 for usage errors, 3 for invalid configuration (including an
 unreadable config file and a grid too large to allocate), 4 when the output
 cannot be written.
@@ -24,6 +25,9 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import math
 import re
 import sys
@@ -52,10 +56,6 @@ from .pathmodel import (
 from .quantum_core import FieldParams, two_photon_amplitude
 
 TWO_PI = 2.0 * math.pi
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -165,13 +165,11 @@ def _linspace(start: float, stop: float, count: int, axis: str, what: str) -> np
     return np.linspace(start, stop, count)
 
 
-def _csv_text(rows: list[str]) -> str:
-    """Rows joined with LF endings; one join, so the text is built only once."""
-    rows.append("")
-    return "\n".join(rows)
+#: A runner's result: header line, ``%`` template of one row, equal-length columns.
+_Table = tuple[str, str, Sequence]
 
 
-def _run_g2_scan(cfg: RunConfig) -> str:
+def _run_g2_scan(cfg: RunConfig) -> _Table:
     params = FieldParams(e0=cfg.e0)
     vis = Visibility(v=cfg.visibility)
     eff = Efficiency(eta=cfg.eta)
@@ -188,12 +186,10 @@ def _run_g2_scan(cfg: RunConfig) -> str:
         delta = _linspace(cfg.phi_start, cfg.phi_stop, cfg.points, "phi", "points")
     g2 = g2_at_phase(delta, params, vis)
     joint = joint_probability_at_phase(delta, vis, eff)
-    rows = ["delta_phi,g2,joint_probability"]
-    rows.extend(f"{_fmt(d)},{_fmt(g)},{_fmt(p)}" for d, g, p in zip(delta, g2, joint))
-    return _csv_text(rows)
+    return "delta_phi,g2,joint_probability\n", "%.17g,%.17g,%.17g\n", (delta, g2, joint)
 
 
-def _run_bell_test(cfg: RunConfig) -> str:
+def _run_bell_test(cfg: RunConfig) -> _Table:
     eff = Efficiency(eta=cfg.eta)
     if cfg.v_grid is not None:
         v = np.array(cfg.v_grid)
@@ -201,16 +197,12 @@ def _run_bell_test(cfg: RunConfig) -> str:
         v = _linspace(cfg.v_start, cfg.v_stop, cfg.v_points, "v", "v_points")
     vis = Visibility(v=v)
     result = ch_statistic(bell_angle_settings(vis, eff))
-    columns = zip(v, result.statistic, result.lower_margin, result.violated)
-    rows = ["v,statistic,lower_margin,violated"]
-    rows.extend(
-        f"{_fmt(c)},{_fmt(s)},{_fmt(m)},{'true' if flag else 'false'}"
-        for c, s, m, flag in columns
-    )
-    return _csv_text(rows)
+    flags = np.where(result.violated, "true", "false")
+    return ("v,statistic,lower_margin,violated\n", "%.17g,%.17g,%.17g,%s\n",
+            (v, result.statistic, result.lower_margin, flags))
 
 
-def _run_mc_bell(cfg: RunConfig) -> str:
+def _run_mc_bell(cfg: RunConfig) -> _Table:
     vis = Visibility(v=cfg.visibility)
     eff = Efficiency(eta=cfg.eta)
     if cfg.num_seeds < 1:
@@ -219,12 +211,9 @@ def _run_mc_bell(cfg: RunConfig) -> str:
     estimate = estimate_ch(McConfig(
         seed=seeds, trials_per_setting=cfg.trials, settings=bell_angle_settings(vis, eff)
     ))
-    columns = zip(seeds, estimate.statistic_hat, estimate.std_error, estimate.sigma_violation)
-    rows = ["seed,trials,statistic_hat,std_error,sigma_violation"]
-    rows.extend(
-        f"{seed},{estimate.trials},{_fmt(s)},{_fmt(e)},{_fmt(z)}" for seed, s, e, z in columns
-    )
-    return _csv_text(rows)
+    return ("seed,trials,statistic_hat,std_error,sigma_violation\n",
+            f"%d,{estimate.trials},%.17g,%.17g,%.17g\n",
+            (seeds, estimate.statistic_hat, estimate.std_error, estimate.sigma_violation))
 
 
 #: Rows of the detector grid evaluated per pass of path-check; bounds its
@@ -232,7 +221,7 @@ def _run_mc_bell(cfg: RunConfig) -> str:
 _PATH_CHECK_ROWS = 16
 
 
-def _run_path_check(cfg: RunConfig) -> str:
+def _run_path_check(cfg: RunConfig) -> _Table:
     geometry = EmitterPair(kd=cfg.kd)
     params = FieldParams(e0=cfg.e0)
     if cfg.grid_points < 2:
@@ -255,12 +244,12 @@ def _run_path_check(cfg: RunConfig) -> str:
         deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))
 
     rank = schmidt_rank(postselected_state(), DETECTOR_BIPARTITION)
-    return f"max_abs_deviation={_fmt(deviation)} schmidt_rank={rank}\n"
+    return "", "max_abs_deviation=%.17g schmidt_rank=%d\n", ([deviation], [rank])
 
 
 #: Every command: (help, runner, its option keys in --help order). A config
 #: file may set exactly the keys of the command's own flags.
-_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], str], tuple[str, ...]]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[RunConfig], _Table], tuple[str, ...]]] = {
     "g2-scan": ("scan the coincidence fringe", _run_g2_scan, (
         "output", "kd", "e0", "visibility", "eta", "phi_start", "phi_stop", "points",
         "xi_start", "xi_stop", "xi_ref")),
@@ -273,6 +262,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[RunConfig], str], tuple[str, ...]]] = 
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathent",
@@ -290,12 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(destination: str | None, text: str) -> None:
-    if destination is None:
-        sys.stdout.write(text)
-        return
-    with open(destination, "w", newline="\n") as handle:
-        handle.write(text)
+#: Rows per ``%`` operation and write; bounds the output text held in memory.
+_BLOCK_ROWS = 1024
+
+
+def _write_output(destination: str | None, head: str, row_format: str, columns: Sequence) -> None:
+    """Write ``head``, then ``row_format`` filled by each row of ``columns``."""
+    sink = (contextlib.nullcontext(sys.stdout) if destination is None
+            else open(destination, "w", newline="\n"))
+    with sink as handle:
+        handle.write(head)
+        for first in range(0, len(columns[0]), _BLOCK_ROWS):
+            # Python numbers: tolist(), or list() for seeds, which may exceed int64.
+            parts = [column[first:first + _BLOCK_ROWS] for column in columns]
+            rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else list(p) for p in parts))
+            handle.write(row_format * len(parts[0]) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -312,13 +311,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         config = _build_config(args)
         _, runner, _ = _COMMANDS[config.command]
-        text = runner(config)
+        table = runner(config)
     except (ValueError, MemoryError) as exc:
         print(f"pathent: invalid configuration: {exc}", file=sys.stderr)
         return 3
 
     try:
-        _write_output(config.output, text)
+        _write_output(config.output, *table)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         print(f"pathent: cannot write output: {exc}", file=sys.stderr)
         return 4

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -428,10 +429,13 @@ class TestExitCodes:
         code, _, _ = run_capture(capsys, ["bell-test", "--eta", "0"])
         assert code == 3
 
-    def test_unwritable_output_path(self, capsys, tmp_path):
-        target = tmp_path / "missing_dir" / "out.csv"
-        code, _, err = run_capture(capsys, ["bell-test", "-o", str(target)])
+    @pytest.mark.parametrize("target", ["{tmp}/missing_dir/out.csv", ""],
+                             ids=["missing-dir", "empty-path"])
+    def test_unwritable_output_path(self, capsys, tmp_path, target):
+        # An empty path is a path that cannot be opened, not a request for stdout.
+        code, out, err = run_capture(capsys, ["bell-test", "-o", target.format(tmp=tmp_path)])
         assert code == 4
+        assert out == ""
         assert "cannot write output" in err
 
     def test_nul_byte_in_output_path_is_output_error(self, capsys, tmp_path):
@@ -580,6 +584,21 @@ class TestDeterminism:
         assert code == 0
         assert out == path.read_text()
 
+    def test_parser_is_built_once_and_reused(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        # The -o of one call must not carry over to the next parse.
+        g2 = ["g2-scan", "--points", "3", "--visibility", "0.5", "-o", str(tmp_path / "g2.csv")]
+        bell = ["bell-test", "--v-grid", "0.5,1"]
+        alone = {}
+        for argv in (g2, bell):
+            build_parser.cache_clear()
+            alone[argv[0]] = run_capture(capsys, argv)
+        g2_bytes = (tmp_path / "g2.csv").read_bytes()
+        for order in ((g2, bell), (bell, g2)):
+            build_parser.cache_clear()
+            assert {argv[0]: run_capture(capsys, argv) for argv in order} == alone
+            assert (tmp_path / "g2.csv").read_bytes() == g2_bytes
+
 
 _EXTREMES = [0.0, -1.0, 1e-300, -1e-300, 5e-324, 1e300, 1e308, -1e308,
              math.nan, math.inf, -math.inf, HALF_PI, -HALF_PI]
@@ -697,3 +716,16 @@ def test_import_leaves_numpy_random_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout == "[]\n"
+
+
+def test_output_memory_stays_below_output_size(tmp_path):
+    # Rows are formatted and written in blocks, so the traced peak (the
+    # grid's arrays plus one block of text) is below the file's size.
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        assert run(["g2-scan", "--points", "200000", "-o", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

@@ -150,6 +150,7 @@ kds = st.floats(min_value=0.1, max_value=50.0)
     points=st.integers(min_value=1, max_value=300),
     e0=e0s, visibility=contrasts, eta=etas,
 )
+@example(phi_start=0.0, phi_stop=1.0, points=3, e0=1e-80, visibility=0.5, eta=1.0)  # subnormal g2
 def test_g2_scan_phase_mode(**options):
     assert_matches_reference("g2-scan", reference_g2_scan, options)
 
