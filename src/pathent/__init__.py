@@ -41,13 +41,10 @@ from .geometry import (
 )
 from .montecarlo import McConfig, McEstimate, estimate_ch, simulate_counts
 from .pathmodel import (
-    Bipartition,
-    DETECTOR_BIPARTITION,
     DetectorStage,
     FourModeState,
     apply_detector,
     final_amplitude,
-    g2_path,
     postselected_state,
     schmidt_coefficients,
     schmidt_rank,
@@ -66,10 +63,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "AtomicState",
-    "Bipartition",
     "ChResult",
     "ChSettings",
-    "DETECTOR_BIPARTITION",
     "DetectorSetting",
     "DetectorStage",
     "Efficiency",
@@ -94,7 +89,6 @@ __all__ = [
     "fringe",
     "g1",
     "g2_at_phase",
-    "g2_path",
     "joint_probability_at_phase",
     "lowering",
     "marginal_probability",

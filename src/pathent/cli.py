@@ -38,21 +38,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bell import bell_angle_settings, ch_statistic
-from .correlations import (
-    Efficiency,
-    UNIT_VISIBILITY,
-    Visibility,
-    g2_at_phase,
-    joint_probability_at_phase,
-)
+from .correlations import Efficiency, Visibility, g2_at_phase, joint_probability_at_phase
 from .geometry import DetectorSetting, EmitterPair, HALF_PI, phase_at, phase_difference
 from .montecarlo import McConfig, estimate_ch
-from .pathmodel import (
-    DETECTOR_BIPARTITION,
-    g2_path,
-    postselected_state,
-    schmidt_rank,
-)
+from .pathmodel import final_amplitude, postselected_state, schmidt_rank
 from .quantum_core import FieldParams, two_photon_amplitude
 
 TWO_PI = 2.0 * math.pi
@@ -105,7 +94,7 @@ _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read config file {path!r}: {exc}") from None
     entries: dict[str, str] = {}
@@ -221,30 +210,37 @@ def _run_mc_bell(cfg: RunConfig) -> _Table:
 _PATH_CHECK_ROWS = 16
 
 
+def _squared_modulus(z: np.ndarray) -> np.ndarray:
+    # |z|**2 as Python computes it: hypot, then libm pow. np.abs and
+    # x*x each differ from that in the last bit for some inputs.
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
 def _run_path_check(cfg: RunConfig) -> _Table:
     geometry = EmitterPair(kd=cfg.kd)
     params = FieldParams(e0=cfg.e0)
     if cfg.grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {cfg.grid_points}")
-
-    # Path-model coincidence signal vs the operator-algebra result over a
-    # detector-angle grid; the scale factor e0^4/4 links the two.
+    # The scale e0^4/4 links the path model's squared vacuum amplitude to
+    # the operator-algebra signal; the deviation is reported in its units.
     scale = 0.25 * params.e0**4
+    if scale < sys.float_info.min:
+        raise ValueError(
+            f"e0 must be >= about 1.73e-77 so that e0**4/4 is a normal float, got {cfg.e0!r}"
+        )
+
     angles = np.linspace(-HALF_PI, HALF_PI, cfg.grid_points)
     det2 = DetectorSetting(xi=angles)
     phi2 = phase_at(geometry, det2)
     deviation = 0.0
     for first in range(0, angles.size, _PATH_CHECK_ROWS):
         det1 = DetectorSetting(xi=angles[first:first + _PATH_CHECK_ROWS, np.newaxis])
-        amplitude = two_photon_amplitude(geometry, det1, det2, params)
-        # |z|**2 as Python computes it: hypot, then libm pow. np.abs and
-        # x*x each differ from that in the last bit for some inputs.
-        operator_g2 = np.float_power(np.hypot(amplitude.real, amplitude.imag), 2.0)
-        path_g2 = scale * g2_path(phase_at(geometry, det1), phi2, UNIT_VISIBILITY)
+        operator_g2 = _squared_modulus(two_photon_amplitude(geometry, det1, det2, params))
+        path_g2 = scale * _squared_modulus(final_amplitude(phase_at(geometry, det1), phi2))
         deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))
 
-    rank = schmidt_rank(postselected_state(), DETECTOR_BIPARTITION)
-    return "", "max_abs_deviation=%.17g schmidt_rank=%d\n", ([deviation], [rank])
+    rank = schmidt_rank(postselected_state())
+    return "", "max_abs_deviation=%.17g schmidt_rank=%d\n", ([deviation / scale], [rank])
 
 
 #: Every command: (help, runner, its option keys in --help order). A config

@@ -21,24 +21,18 @@ Chaining both detectors through the path state leaves a vacuum amplitude
 e^{i phi2} + e^{i phi1} whose squared modulus, 2*(1 + cos(phi2 - phi1)),
 reproduces the operator-algebra coincidence fringe up to a constant factor.
 
-States live in the full 16-dimensional 0/1-occupation space so that the
-Schmidt-rank entanglement witness works for arbitrary states, not just the
-physically reachable ones.
+States live in the full 16-dimensional 0/1-occupation space, so the
+Schmidt rank across the detector cut, (k1, k2) | (k3, k4), witnesses
+entanglement for arbitrary states, not just the physically reachable ones.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
-
-from .correlations import Visibility
-
-MODES = (1, 2, 3, 4)
 
 Pattern = tuple[int, int, int, int]
 
@@ -87,31 +81,6 @@ class FourModeState:
         return not np.any(self._amp)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A split of the four modes into two disjoint, nonempty groups."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-
-    def __init__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        object.__setattr__(self, "left", frozenset(left))
-        object.__setattr__(self, "right", frozenset(right))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not self.left or not self.right:
-            raise ValueError("both sides of a bipartition must be nonempty")
-        if self.left & self.right:
-            raise ValueError("bipartition sides must be disjoint")
-        if self.left | self.right != set(MODES):
-            raise ValueError(f"bipartition must cover exactly the modes {MODES}")
-
-
-#: Split separating the first-detector modes from the second-detector modes.
-DETECTOR_BIPARTITION = Bipartition(left=(1, 2), right=(3, 4))
-
-
 def postselected_state() -> FourModeState:
     """Two-photon state surviving one-photon-per-detector post-selection.
 
@@ -137,9 +106,9 @@ def apply_detector(
     amp = np.zeros((2, 2, 2, 2), dtype=complex)
     if stage is DetectorStage.FIRST:
         amp[0, 0, 0, 1] = state.amplitude((1, 0, 0, 1))
-        amp[0, 0, 1, 0] = cmath.exp(1j * phase) * state.amplitude((0, 1, 1, 0))
+        amp[0, 0, 1, 0] = np.exp(1j * phase) * state.amplitude((0, 1, 1, 0))
     elif stage is DetectorStage.SECOND:
-        amp[0, 0, 0, 0] = state.amplitude((0, 0, 1, 0)) + cmath.exp(
+        amp[0, 0, 0, 0] = state.amplitude((0, 0, 1, 0)) + np.exp(
             1j * phase
         ) * state.amplitude((0, 0, 0, 1))
     else:
@@ -147,51 +116,35 @@ def apply_detector(
     return FourModeState(amp)
 
 
-def final_amplitude(phi1: float, phi2: float) -> complex:
-    """Vacuum amplitude e^{i phi2} + e^{i phi1} after both detections."""
-    return cmath.exp(1j * phi2) + cmath.exp(1j * phi1)
+def final_amplitude(
+    phi1: float | np.ndarray, phi2: float | np.ndarray
+) -> complex | np.ndarray:
+    """Vacuum amplitude e^{i phi2} + e^{i phi1} after both detections.
 
-
-def g2_path(
-    phi1: float | np.ndarray, phi2: float | np.ndarray, vis: Visibility
-) -> float | np.ndarray:
-    """Coincidence signal of the path model, 2*(1 + v*cos(phi2 - phi1)).
-
-    At full contrast this is exactly |final_amplitude|^2; visibility damps
-    only the interference cross term. Array phases broadcast.
+    Array phases broadcast; scalar phases give a numpy complex scalar.
     """
-    return 2.0 * (1.0 + vis.v * np.cos(phi2 - phi1))
+    return np.exp(1j * phi2) + np.exp(1j * phi1)
 
 
-def _bipartite_matrix(state: FourModeState, cut: Bipartition) -> np.ndarray:
-    """Amplitudes reshaped into a (left occupations) x (right occupations) matrix.
+def schmidt_coefficients(state: FourModeState) -> np.ndarray:
+    """Singular values across the detector cut (k1, k2) | (k3, k4), descending.
 
-    The left modes, in ascending order, become the leading axes, so the
-    row index reads their occupations as a binary number, first mode most
-    significant; likewise the column index for the right modes.
+    The (n1, n2) occupations index the rows and (n3, n4) the columns.
     """
-    left = sorted(cut.left)
-    right = sorted(cut.right)
-    axes = [mode - 1 for mode in left + right]
-    return state.amplitudes.transpose(axes).reshape(2 ** len(left), 2 ** len(right))
-
-
-def schmidt_coefficients(state: FourModeState, cut: Bipartition) -> np.ndarray:
-    """Singular values of the bipartitioned amplitude matrix, descending."""
     if state.is_zero():
         raise ValueError("Schmidt decomposition of the zero state is undefined")
-    return np.linalg.svd(_bipartite_matrix(state, cut), compute_uv=False)
+    return np.linalg.svd(state.amplitudes.reshape(4, 4), compute_uv=False)
 
 
 #: Schmidt coefficients at or below this fraction of the largest count as zero.
 _RANK_TOL = 1e-10
 
 
-def schmidt_rank(state: FourModeState, cut: Bipartition) -> int:
+def schmidt_rank(state: FourModeState) -> int:
     """Number of Schmidt coefficients above 1e-10 times the largest.
 
-    Rank 1 means the state factorizes across the cut; rank >= 2 witnesses
-    entanglement between the two mode groups.
+    Rank 1 means the state factorizes into the first detector's modes and
+    the second's; rank >= 2 witnesses path entanglement between them.
     """
-    coeffs = schmidt_coefficients(state, cut)
+    coeffs = schmidt_coefficients(state)
     return int(np.count_nonzero(coeffs > _RANK_TOL * coeffs[0]))

@@ -23,11 +23,10 @@ from pathent.correlations import (
 from pathent.geometry import DetectorSetting, EmitterPair
 from pathent.montecarlo import McConfig, estimate_ch
 from pathent.pathmodel import (
-    DETECTOR_BIPARTITION,
     DetectorStage,
     FourModeState,
     apply_detector,
-    g2_path,
+    final_amplitude,
     postselected_state,
     schmidt_coefficients,
     schmidt_rank,
@@ -70,15 +69,13 @@ def test_criterion_3_model_equivalence():
         params = FieldParams(e0=1.0)
         scale = 0.25 * params.e0**4
         grid = np.linspace(-math.pi, math.pi, 100)
-        for v in (0.0, 0.5, 1.0):
-            vis = Visibility(v=v)
-            worst = 0.0
-            for phi1 in grid:
-                for phi2 in grid:
-                    lhs = scale * g2_path(float(phi1), float(phi2), vis)
-                    rhs = g2_at_phase(float(phi2 - phi1), params, vis)
-                    worst = max(worst, abs(lhs - rhs))
-            assert worst < 1e-12, f"v={v}: max deviation {worst}"
+        worst = 0.0
+        for phi1 in grid:
+            for phi2 in grid:
+                lhs = scale * abs(final_amplitude(float(phi1), float(phi2))) ** 2
+                rhs = g2_at_phase(float(phi2 - phi1), params, UNIT_VISIBILITY)
+                worst = max(worst, abs(lhs - rhs))
+        assert worst < 1e-12, f"max deviation {worst}"
 
 
 def test_criterion_4_path_state_sequence():
@@ -101,12 +98,12 @@ def test_criterion_4_path_state_sequence():
 def test_criterion_5_entanglement_witness():
     with criterion(5, "Schmidt-rank entanglement witness"):
         state = postselected_state()
-        assert schmidt_rank(state, DETECTOR_BIPARTITION) == 2
-        coeffs = schmidt_coefficients(state, DETECTOR_BIPARTITION)
+        assert schmidt_rank(state) == 2
+        coeffs = schmidt_coefficients(state)
         assert abs(coeffs[0] - coeffs[1]) < 1e-12
         for pattern in itertools.product((0, 1), repeat=4):
             ket = FourModeState.from_terms({pattern: 1.0})
-            assert schmidt_rank(ket, DETECTOR_BIPARTITION) == 1
+            assert schmidt_rank(ket) == 1
 
 
 def test_criterion_6_monte_carlo_violation():

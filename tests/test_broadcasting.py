@@ -18,7 +18,7 @@ from pathent.correlations import (
     joint_probability_at_phase,
 )
 from pathent.geometry import DetectorSetting, EmitterPair, phase_at, phase_difference
-from pathent.pathmodel import g2_path
+from pathent.pathmodel import final_amplitude
 from pathent.quantum_core import (
     Atom,
     AtomicState,
@@ -168,11 +168,12 @@ class TestQuantumCore:
 
 
 class TestPathModel:
-    @given(phi1=phases, phi2=phases, v=st.floats(min_value=0.0, max_value=1.0))
-    def test_g2_path_over_a_grid(self, phi1, phi2, v):
-        vis = Visibility(v=v)
-        got = g2_path(column(phi1), row(phi2), vis)
-        expected = elementwise(lambda a, b: g2_path(a, b, vis), column(phi1), row(phi2))
+    @given(phi1=phases, phi2=phases)
+    def test_g2_path_over_a_grid(self, phi1, phi2):
+        # The path model's coincidence signal is |final_amplitude|^2.
+        got = final_amplitude(column(phi1), row(phi2))
+        expected = elementwise(final_amplitude, column(phi1), row(phi2))
+        assert got.shape == (phi1.size, phi2.size)
         assert np.array_equal(got, expected)
 
 

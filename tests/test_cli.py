@@ -188,6 +188,27 @@ class TestPathCheckCommand:
         fields = dict(part.split("=") for part in out.strip().split())
         assert float(fields["max_abs_deviation"]) < 1e-12
 
+    @pytest.mark.parametrize("e0", ["1e-70", "1", "1e70", "1.15e77"])
+    def test_deviation_is_relative_to_the_field_scale(self, capsys, e0):
+        # In units of e0**4/4 the two models agree to rounding at any field.
+        code, out, err = run_capture(
+            capsys, ["path-check", "--e0", e0, "--kd", "7.3", "--grid-points", "40"]
+        )
+        assert (code, err) == (0, "")
+        fields = dict(part.split("=") for part in out.strip().split())
+        assert 0.0 < float(fields["max_abs_deviation"]) <= 1e-12
+
+    @pytest.mark.parametrize("kd", [math.pi, 4 * math.pi], ids=["kd=pi", "kd=4pi"])
+    def test_benchmark_inputs(self, capsys, kd):
+        # The ends of the kd range that the path-check benchmark draws from.
+        code, out, err = run_capture(
+            capsys, ["path-check", "--kd", repr(kd), "--e0", "1.25", "--grid-points", "120"]
+        )
+        assert (code, err) == (0, "")
+        fields = dict(part.split("=") for part in out.strip().split())
+        assert float(fields["max_abs_deviation"]) <= 1e-12
+        assert fields["schmidt_rank"] == "2"
+
 
 class TestConfigFile:
     def test_config_file_sets_options(self, capsys, tmp_path):
@@ -256,6 +277,13 @@ class TestConfigFile:
         key = first.replace("-", "_")
         assert err == (f"pathent: invalid configuration: {config}:3: "
                        f"config key {key!r} already set on line 1\n")
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xef\xbb\xbfpoints = 3\n")
+        from_file = run_capture(capsys, ["g2-scan", "--config", str(config)])
+        assert from_file == run_capture(capsys, ["g2-scan", "--points", "3"])
+        assert from_file[0] == 0
 
     def test_non_utf8_file_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -357,6 +385,7 @@ class TestExitCodes:
             ["path-check", "--kd", "1e308", "--grid-points", "3"],
             ["mc-bell", "--eta", "1e-300", "--trials", "10", "--num-seeds", "1"],
             ["mc-bell", "--eta", "1e-170", "--trials", "1000"],
+            ["path-check", "--e0", "1e-200", "--grid-points", "50"],  # e0**4/4 underflows
         ],
     )
     def test_overflowing_e0_kd_and_eta_are_config_errors(self, capsys, argv):

@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pathent.correlations import UNIT_VISIBILITY, Visibility, g2_at_phase
+from pathent.correlations import UNIT_VISIBILITY, g2_at_phase
 from pathent.pathmodel import (
-    Bipartition,
-    DETECTOR_BIPARTITION,
     DetectorStage,
     FourModeState,
     apply_detector,
     final_amplitude,
-    g2_path,
     postselected_state,
     schmidt_coefficients,
     schmidt_rank,
@@ -107,36 +104,25 @@ class TestFinalAmplitude:
 
 
 class TestG2Path:
-    def test_full_contrast_equals_squared_final_amplitude(self):
-        for phi1, phi2 in [(0.0, 0.0), (0.3, 2.1), (-1.0, 1.0)]:
-            assert g2_path(phi1, phi2, UNIT_VISIBILITY) == pytest.approx(
-                abs(final_amplitude(phi1, phi2)) ** 2, abs=1e-12
-            )
-
-    def test_quadrature_offset_is_contrast_free(self):
-        for v in (0.0, 0.5, 1.0):
-            value = g2_path(0.0, math.pi / 2, Visibility(v=v))
-            assert value == pytest.approx(2.0, abs=1e-15)
+    """The path model's coincidence signal is |final_amplitude|^2 at full contrast."""
 
     def test_proportional_to_analytic_fringe(self):
         # A single constant e0^4/4 links the path-model signal to the
-        # analytic correlation function at every phase pair and visibility.
+        # analytic correlation function at every phase pair.
         params = FieldParams(e0=1.3)
         scale = 0.25 * params.e0**4
         grid = np.linspace(-math.pi, math.pi, 40)
-        for v in (0.0, 0.5, 1.0):
-            vis = Visibility(v=v)
-            for phi1 in grid:
-                for phi2 in grid[::4]:
-                    lhs = scale * g2_path(float(phi1), float(phi2), vis)
-                    rhs = g2_at_phase(float(phi2 - phi1), params, vis)
-                    assert lhs == pytest.approx(rhs, abs=1e-12)
+        for phi1 in grid:
+            for phi2 in grid[::4]:
+                lhs = scale * abs(final_amplitude(float(phi1), float(phi2))) ** 2
+                rhs = g2_at_phase(float(phi2 - phi1), params, UNIT_VISIBILITY)
+                assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_constant_ratio_where_fringe_is_bright(self):
         params = FieldParams(e0=1.0)
         scale = 0.25 * params.e0**4
         for phi1 in np.linspace(-2.0, 2.0, 30):
-            denominator = g2_path(float(phi1), 0.5, UNIT_VISIBILITY)
+            denominator = abs(final_amplitude(float(phi1), 0.5)) ** 2
             if denominator > 1e-6:
                 ratio = g2_at_phase(0.5 - float(phi1), params, UNIT_VISIBILITY) / denominator
                 assert ratio == pytest.approx(scale, abs=1e-12)
@@ -145,15 +131,15 @@ class TestG2Path:
 class TestSchmidt:
     def test_postselected_state_is_maximally_path_entangled(self):
         state = FourModeState(postselected_state().amplitudes / math.sqrt(2.0))
-        assert schmidt_rank(state, DETECTOR_BIPARTITION) == 2
-        coeffs = schmidt_coefficients(state, DETECTOR_BIPARTITION)
+        assert schmidt_rank(state) == 2
+        coeffs = schmidt_coefficients(state)
         assert coeffs[0] == pytest.approx(coeffs[1], abs=1e-12)
         assert coeffs[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_every_basis_ket_is_separable(self):
         for pattern in ALL_PATTERNS:
             ket = FourModeState.from_terms({pattern: 1.0})
-            assert schmidt_rank(ket, DETECTOR_BIPARTITION) == 1
+            assert schmidt_rank(ket) == 1
 
     def test_product_superposition_is_separable(self):
         # Oracle: build (|10> + |01>) x (|10> + |01>) as an explicit tensor
@@ -167,12 +153,7 @@ class TestSchmidt:
             {(1, 0, 1, 0): 1.0, (1, 0, 0, 1): 1.0, (0, 1, 1, 0): 1.0, (0, 1, 0, 1): 1.0}
         )
         assert np.array_equal(product.amplitudes, expected.amplitudes)
-        assert schmidt_rank(product, DETECTOR_BIPARTITION) == 1
-
-    def test_paths_entangled_across_other_cuts(self):
-        state = postselected_state()
-        assert schmidt_rank(state, Bipartition(left=(1,), right=(2, 3, 4))) == 2
-        assert schmidt_rank(state, Bipartition(left=(1, 4), right=(2, 3))) == 2
+        assert schmidt_rank(product) == 1
 
     @given(modulus=st.floats(min_value=1e-3, max_value=1e3),
            angle=st.floats(min_value=-math.pi, max_value=math.pi))
@@ -182,24 +163,14 @@ class TestSchmidt:
         kets = [FourModeState.from_terms({pattern: 1.0}) for pattern in ALL_PATTERNS]
         for state in [postselected_state()] + kets:
             scaled = FourModeState(factor * state.amplitudes)
-            assert schmidt_rank(scaled, DETECTOR_BIPARTITION) == schmidt_rank(
-                state, DETECTOR_BIPARTITION
-            )
-            plain = schmidt_coefficients(state, DETECTOR_BIPARTITION)
-            coeffs = schmidt_coefficients(scaled, DETECTOR_BIPARTITION)
+            assert schmidt_rank(scaled) == schmidt_rank(state)
+            plain = schmidt_coefficients(state)
+            coeffs = schmidt_coefficients(scaled)
             assert np.allclose(coeffs / coeffs[0], plain / plain[0], rtol=0.0, atol=1e-12)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
-            schmidt_rank(FourModeState(np.zeros((2, 2, 2, 2))), DETECTOR_BIPARTITION)
-
-    @pytest.mark.parametrize(
-        "left,right",
-        [((), (1, 2, 3, 4)), ((1, 2), (2, 3, 4)), ((1,), (2, 3))],
-    )
-    def test_bad_bipartitions_rejected(self, left, right):
-        with pytest.raises(ValueError):
-            Bipartition(left=left, right=right)
+            schmidt_rank(FourModeState(np.zeros((2, 2, 2, 2))))
 
 
 class TestFourModeState:
