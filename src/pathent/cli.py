@@ -47,13 +47,18 @@ from .quantum_core import FieldParams, two_photon_amplitude
 TWO_PI = 2.0 * math.pi
 
 
+class _BadValue(argparse.ArgumentTypeError, ValueError):
+    """A malformed option value: argparse shows its message for a flag (exit 2),
+    and a config-file value is a ValueError like any other (exit 3)."""
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ValueError(f"bad float list {text!r}: {exc}") from None
+        raise _BadValue(f"bad float list {text!r}: {exc}") from None
     if not values:
-        raise ValueError(f"empty value list {text!r}")
+        raise _BadValue(f"empty value list {text!r}")
     return values
 
 
@@ -205,9 +210,10 @@ def _run_mc_bell(cfg: RunConfig) -> _Table:
             (seeds, estimate.statistic_hat, estimate.std_error, estimate.sigma_violation))
 
 
-#: Rows of the detector grid evaluated per pass of path-check; bounds its
-#: working memory to a few arrays of _PATH_CHECK_ROWS * grid_points values.
-_PATH_CHECK_ROWS = 16
+#: Detector pairs evaluated per pass of path-check: each pass takes
+#: max(1, _PATH_CHECK_PAIRS // grid_points) rows of the grid, so its working
+#: memory is a few arrays of about this many values whatever --grid-points is.
+_PATH_CHECK_PAIRS = 2**14
 
 
 def _squared_modulus(z: np.ndarray) -> np.ndarray:
@@ -232,9 +238,10 @@ def _run_path_check(cfg: RunConfig) -> _Table:
     angles = np.linspace(-HALF_PI, HALF_PI, cfg.grid_points)
     det2 = DetectorSetting(xi=angles)
     phi2 = phase_at(geometry, det2)
+    rows = max(1, _PATH_CHECK_PAIRS // angles.size)
     deviation = 0.0
-    for first in range(0, angles.size, _PATH_CHECK_ROWS):
-        det1 = DetectorSetting(xi=angles[first:first + _PATH_CHECK_ROWS, np.newaxis])
+    for first in range(0, angles.size, rows):
+        det1 = DetectorSetting(xi=angles[first:first + rows, np.newaxis])
         operator_g2 = _squared_modulus(two_photon_amplitude(geometry, det1, det2, params))
         path_g2 = scale * _squared_modulus(final_amplitude(phase_at(geometry, det1), phi2))
         deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))

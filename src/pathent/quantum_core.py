@@ -106,12 +106,18 @@ class AtomicState:
         )
 
     def scaled(self, factor: complex | np.ndarray) -> "AtomicState":
-        return AtomicState(
-            amp_ee=_product(factor, self.amp_ee),
-            amp_eg=_product(factor, self.amp_eg),
-            amp_ge=_product(factor, self.amp_ge),
-            amp_gg=_product(factor, self.amp_gg),
-        )
+        """The state times a finite scalar or array ``factor``.
+
+        An amplitude that is the Python scalar ``0j``, as those ``lowering``
+        annihilates are, stays that scalar: its product would be a signed
+        zero of the factor's shape, equal to it in every modulus.
+        """
+        if not np.isfinite(factor).all():
+            raise ValueError("factor must be finite")
+        return AtomicState(*(
+            amp if type(amp) is complex and not amp else _product(factor, amp)
+            for amp in (self.amp_ee, self.amp_eg, self.amp_ge, self.amp_gg)
+        ))
 
 
 def lowering(atom: Atom, state: AtomicState) -> AtomicState:

@@ -320,6 +320,21 @@ class TestExitCodes:
         code, _, err = run_capture(capsys, ["bell-test", "--config", str(config)])
         assert code == 3
 
+    @pytest.mark.parametrize("text, message", [
+        (",", "empty value list ','"),
+        ("0.5,x", "bad float list '0.5,x': could not convert string to float: 'x'"),
+    ])
+    def test_malformed_v_grid_message_on_both_paths(self, capsys, tmp_path, text, message):
+        code, out, err = run_capture(capsys, ["bell-test", "--v-grid", text])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --v-grid: {message}\n")
+        assert "_parse_float_list" not in err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"v_grid = {text}\n")
+        code, out, err = run_capture(capsys, ["bell-test", "--config", str(config)])
+        assert (code, out) == (3, "")
+        assert err == f"pathent: invalid configuration: bad value for 'v_grid': {message}\n"
+
     def test_invalid_visibility_is_config_error(self, capsys):
         code, _, err = run_capture(capsys, ["mc-bell", "--visibility", "1.5", "--trials", "10"])
         assert code == 3
@@ -758,3 +773,18 @@ def test_output_memory_stays_below_output_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+
+
+def test_path_check_memory_is_flat_in_grid_points():
+    # path-check evaluates its grid in passes of about 2**14 detector pairs,
+    # so a grid 7.5 times as wide (56 times the pairs) needs about as much
+    # memory.
+    def peak(grid_points):
+        tracemalloc.start()
+        try:
+            assert run(["path-check", "--grid-points", str(grid_points)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1500) <= 1.5 * peak(200)

@@ -11,8 +11,10 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pathent import cli
 from pathent.bell import bell_angle_settings, ch_statistic
 from pathent.cli import RunConfig, run
 from pathent.correlations import (
@@ -182,11 +184,28 @@ def test_bell_test_visibility_list(**options):
 
 @settings(max_examples=25, deadline=None)
 @given(kd=kds, e0=e0s, grid_points=st.integers(min_value=2, max_value=40))
-@example(kd=2 * math.pi, e0=1.0, grid_points=40)  # two full row blocks and a partial one
+@example(kd=2 * math.pi, e0=1.0, grid_points=40)  # the largest drawn grid, in one pass
 @example(kd=7.3, e0=1e-76, grid_points=20)  # dark-fringe signals near the subnormal range
 @example(kd=7.3, e0=1.15e77, grid_points=20)  # e0**4 just below overflow
 def test_path_check(**options):
     assert_matches_reference("path-check", reference_path_check, options)
+
+
+@pytest.mark.parametrize("options", [
+    dict(kd=2 * math.pi, e0=1.0, grid_points=40),
+    dict(kd=7.3, e0=1e-76, grid_points=20),
+    dict(kd=12.5, e0=1.15e77, grid_points=13),
+    dict(kd=0.3, e0=2.0, grid_points=3),
+])
+def test_path_check_bytes_do_not_depend_on_the_pass_size(monkeypatch, options):
+    # 1 and 7 pairs take one row per pass, except 7 at grid 3 (rows 2, 1);
+    # 64 pairs take 1, 3, 4 and 21 rows, so grids 20 and 13 end in a partial
+    # pass; 2**14 takes each grid in one pass.
+    outputs = set()
+    for pairs in (1, 7, 64, 2**14):
+        monkeypatch.setattr(cli, "_PATH_CHECK_PAIRS", pairs)
+        outputs.add(cli_output("path-check", options))
+    assert len(outputs) == 1
 
 
 @st.composite

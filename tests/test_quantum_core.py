@@ -19,6 +19,7 @@ from pathent.quantum_core import (
     Atom,
     AtomicState,
     FieldParams,
+    _product,
     apply_field_negative,
     lowering,
     two_photon_amplitude,
@@ -28,6 +29,7 @@ GEOMETRY = EmitterPair(kd=4 * math.pi)
 AT_ZERO = DetectorSetting(xi=0.0)
 
 phases = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
+complexes = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
 def det_at_phase(phase):
@@ -149,6 +151,29 @@ class TestAtomicState:
     def test_rejects_non_finite_amplitudes(self):
         with pytest.raises(ValueError):
             AtomicState(amp_ee=complex(math.inf, 0.0))
+
+    @pytest.mark.parametrize("factor", [math.nan, complex("inf"), np.array([1.0, np.nan])])
+    def test_scaled_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="factor must be finite"):
+            AtomicState().scaled(factor)
+
+    def test_scaled_ground_state_rejects_nan(self):
+        with pytest.raises(ValueError):
+            AtomicState.ground().scaled(math.nan)
+
+    @given(
+        amplitudes=st.lists(st.just(0j) | complexes, min_size=4, max_size=4),
+        factor=st.lists(complexes, min_size=1, max_size=5).map(np.array),
+    )
+    def test_scaled_equals_full_product(self, amplitudes, factor):
+        # Scalar 0j amplitudes stay scalar; broadcast, every amplitude
+        # equals the element-wise product of the factor with it.
+        result = AtomicState(*amplitudes).scaled(factor)
+        for name, amp in zip(("amp_ee", "amp_eg", "amp_ge", "amp_gg"), amplitudes):
+            value = getattr(result, name)
+            if amp == 0j:
+                assert value is amp
+            assert np.array_equal(np.broadcast_to(value, factor.shape), _product(factor, amp))
 
     def test_field_params_validation(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
