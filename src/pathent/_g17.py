@@ -1,0 +1,271 @@
+"""Exact ``'%.17g' % v`` for blocks of float64 values, with numpy array operations.
+
+``render(x)`` gives four little-endian uint64 words per value of ``x``.
+Their 32 bytes hold the text ``'%.17g' % v`` with NUL bytes between and
+after its parts, and the last byte is always NUL: dropping the NULs leaves
+the text. ``format_rows`` builds whole CSV rows from such words.
+
+The kernel renders a value whose magnitude lies in about [1e-11, 2e15]. The
+others (zero, subnormals, inf, nan, and values near the ends of that range)
+are rendered by one ``%`` operation for all of them.
+
+The digits are exact. A double is ``m * 2**e`` with an integer ``m`` below
+``2**53``; with ``X = floor(log10|v|)`` and ``k = 16 - X`` in 0..27,
+``|v| * 10**k = m * 5**k * 2**(e + k)``, so the 17 significant digits are
+the 128-bit product ``m * 5**k`` (two uint64 limbs) shifted right by
+``-(e + k)`` and rounded half to even on the exact remainder, as CPython's
+correctly rounded formatting does. Every integer operation stays in uint64:
+under numpy 1.x a uint64 mixed with a signed integer silently becomes float64.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Sequence
+
+import numpy as np
+
+_WORD = np.dtype("<u8")
+_U64 = np.uint64
+_ONE = _U64(1)
+_LOW32 = _U64(0xFFFFFFFF)
+_E16 = _U64(10**16)
+_E17 = _U64(10**17)
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+
+#: Decimal exponents X the kernel renders, after rounding.
+_X_MIN, _X_MAX = -11, 15
+#: The digit the point follows when none does.
+_NO_POINT = 16
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+def _by_exponent() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per X from _X_MIN: 18 times the digit the point follows, the sign-and-lead
+    word (``0.`` and zeros for -4 <= X < 0; the sign goes in byte 0), the
+    exponent word (``e-XX`` in bytes 2..5 for X < -4)."""
+    xs = range(_X_MIN, _X_MAX + 1)
+    points = [x if x >= 0 else 0 if x < -4 else _NO_POINT for x in xs]
+    leads = [_word(b"\0" + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")) for x in xs]
+    exponents = [_word(b"\0\0e-%02d" % -x if x < -4 else b"") for x in xs]
+    return (np.array(points, dtype=np.uint64) * 18, np.array(leads, dtype=_WORD),
+            np.array(exponents, dtype=_WORD))
+
+
+def _masks() -> np.ndarray:
+    """``[part, word, 18 * point + n]``: how 17 digit bytes become the mantissa.
+
+    ``point`` is the digit the point follows (_NO_POINT for none) and ``n``
+    the number of digits up to the last nonzero one. Mantissa word w is
+    ``(d & a) | (u & b) | c`` for parts (a, b, c), where d holds the digits,
+    one byte each, and u the same one byte up.
+    """
+    masks = np.zeros((3, 3, 18 * (_NO_POINT + 1)), dtype=_WORD)
+    for point in range(_NO_POINT + 1):
+        for n in range(18):
+            # Digits before the point are printed even when zero.
+            shown = n if point == _NO_POINT else max(n, point + 1)
+            before = point + 1 if point < shown - 1 else shown
+            parts = (sum(0xFF << 8 * i for i in range(before)),
+                     sum(0xFF << 8 * i for i in range(before + 1, shown + 1)),
+                     ord(".") << 8 * before if before < shown else 0)
+            for part, bits in enumerate(parts):
+                masks[part, :, 18 * point + n] = [bits >> 64 * w & 2**64 - 1 for w in range(3)]
+    return masks
+
+
+_POINTS, _LEADS, _EXPONENTS = _by_exponent()
+_MASKS = _masks()
+
+
+def _percent_words(spec: str, column: Sequence) -> np.ndarray:
+    """``(w, n)`` words: ``spec % value`` for each of the n values of ``column``, NUL padded."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    text = "\0".join([spec] * len(values)) % tuple(values)
+    fields = np.array(text.encode("ascii").split(b"\0"))
+    fields = fields.astype(f"S{-(-fields.itemsize // 8) * 8}")
+    return fields.view(_WORD).reshape(len(values), -1).T
+
+
+def render(x: np.ndarray) -> np.ndarray:
+    """``(4, x.size)`` words holding ``'%.17g' % v`` for each value of 1-D float64 ``x``."""
+    # Temporaries are updated in place and dropped early: a block that
+    # touches fewer fresh pages renders faster and in less memory.
+    bits = x.view(np.uint64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.log10(np.abs(x))
+    np.floor(k, out=k)
+    np.subtract(16.0, k, out=k)
+    ok = (k >= 0.0) & (k <= 27.0)  # False for zero, inf and nan
+    k[~ok] = 0.0
+    k = k.astype(np.uint64)
+    # |v| * 10**k = m * 5**k / 2**shift, shift = 1075 - biased exponent - k.
+    shift = bits >> _U64(52)
+    shift &= _U64(0x7FF)
+    np.subtract(_U64(1075), shift, out=shift)
+    shift -= k
+    ok &= shift - _ONE <= _U64(62)  # 1 <= shift <= 63; below 1 it wraps
+    shift[~ok] = _ONE
+
+    # m * 5**k = high * 2**64 + low from 32-bit halves: m's high half is
+    # below 2**21, so the two cross products sum below 2**64.
+    m = bits & _U64(2**52 - 1)
+    m |= _U64(2**52)
+    p = np.take(_POW5, k)
+    m_hi = m >> _U64(32)
+    p_hi = p >> _U64(32)
+    m &= _LOW32
+    p &= _LOW32
+    high = m_hi * p_hi
+    cross = np.multiply(m_hi, p, out=m_hi)
+    cross += np.multiply(m, p_hi, out=p_hi)
+    low = np.multiply(m, p, out=m)
+    del p, p_hi
+    high += cross >> _U64(32)
+    cross <<= _U64(32)
+    low += cross
+    high += low < cross
+
+    # q = floor(|v| * 10**k) is below 1e18 whenever the estimate of X is off
+    # by at most one, so it fits; outside [1e16, 1e17) X was off and % renders v.
+    q = high << (_U64(64) - shift)
+    q |= low >> shift
+    ok &= (q >= _E16) & (q < _E17)
+    # Half to even: up when the remainder r plus q's last bit exceeds half,
+    # that is when r + (q & 1) + half - 1 reaches 2**shift.
+    mask = (_ONE << shift) - _ONE
+    low &= mask
+    low += q & _ONE
+    low += mask >> _ONE
+    q += low >> shift
+    del high, low, cross, mask, shift
+    rolled = q == _E17
+    q[rolled] = _E16
+    row = _U64(16 - _X_MIN) - k  # X - _X_MIN
+    row += rolled
+    row[~ok] = 0
+    row = row.astype(np.intp)
+    del k, rolled
+
+    # q is d0 * 10**16 plus two halves of eight digits. Each half becomes
+    # eight digit bytes at once, first digit lowest, split in lanes of its
+    # word: 4 + 4 digits, then 2 + 2 + 2 + 2, then 1 each. Times 5243 then
+    # down 19 bits divides a lane below 10**4 by 100; times 103 then down 10
+    # bits divides one below 100 by 10. Words 1..3 of the output serve as
+    # scratch until they take the mantissa.
+    out = np.empty((4, x.size), dtype=_WORD)
+    halves, lanes = np.empty((2, x.size), dtype=np.uint64), out[2:]
+    np.floor_divide(q, _U64(10**8), out=halves[0])
+    np.subtract(q, halves[0] * _U64(10**8), out=halves[1])
+    del q
+    d0 = np.floor_divide(halves[0], _U64(10**8), out=out[1])
+    halves[0] -= d0 * _U64(10**8)
+    np.floor_divide(halves, _U64(10**4), out=lanes)
+    halves -= lanes * _U64(10**4)
+    halves <<= _U64(32)
+    halves |= lanes
+    np.multiply(halves, _U64(5243), out=lanes)
+    lanes >>= _U64(19)
+    lanes &= _U64(0x0000007F0000007F)
+    halves -= lanes * _U64(100)
+    halves <<= _U64(16)
+    halves |= lanes
+    np.multiply(halves, _U64(103), out=lanes)
+    lanes >>= _U64(10)
+    lanes &= _U64(0x000F000F000F000F)
+    halves -= lanes * _U64(10)
+    halves <<= _U64(8)
+    halves |= lanes
+    # Digits up to the last nonzero one in each half: a byte b <= 9 is
+    # nonzero when b + 0x7F sets its top bit; that bit is copied to every
+    # byte below it, and the bytes holding it are counted.
+    np.add(halves, _U64(0x7F7F7F7F7F7F7F7F), out=lanes)
+    lanes &= _U64(0x8080808080808080)
+    for down in (8, 16, 32):
+        lanes |= lanes >> _U64(down)
+    lanes >>= _U64(7)
+    lanes *= _U64(0x0101010101010101)
+    lanes >>= _U64(56)
+    # 17 digits when the second half has any, else d0 and the first's.
+    index = lanes[1] + _U64(9)
+    index *= lanes[1] != 0
+    np.maximum(index, lanes[0] + _ONE, out=index)
+    index += np.take(_POINTS, row)
+    halves |= _U64(0x3030303030303030)
+
+    # The mantissa: d0 and the digits, one byte each; then the point goes in
+    # after its digit, the digits after it moving one byte up. Last word
+    # first, as each reads the one before.
+    mantissa = out[1:]
+    mantissa[0] += _U64(48)
+    mantissa[0] |= halves[0] << _U64(8)
+    np.right_shift(halves, _U64(56), out=mantissa[1:])
+    mantissa[1] |= halves[1] << _U64(8)
+    del halves
+    for w in (2, 1, 0):
+        up = mantissa[w] << _U64(8)
+        if w:
+            up |= mantissa[w - 1] >> _U64(56)
+        up &= np.take(_MASKS[1, w], index)
+        mantissa[w] &= np.take(_MASKS[0, w], index)
+        mantissa[w] |= up
+        mantissa[w] |= np.take(_MASKS[2, w], index)
+    del up, index
+    np.take(_LEADS, row, out=out[0])
+    out[0] |= (bits >> _U64(63)) * _U64(ord("-"))
+    out[3] |= np.take(_EXPONENTS, row)
+
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        text = _percent_words("%.17g", x[rest])  # at most 24 characters
+        out[:, rest] = 0
+        out[:len(text), rest] = text
+    return out
+
+
+#: A conversion specifier of a row format; the text between two is literal.
+_SPEC = re.compile(r"(%[^a-z%]*[a-z])")
+
+
+def _words(text: str) -> list[int]:
+    data = text.encode("ascii")
+    return [_word(data[i:i + 8]) for i in range(0, len(data), 8)]
+
+
+def format_rows(row_format: str, columns: Sequence) -> str:
+    """``row_format * n % rows`` for the n rows of ``columns``, byte for byte.
+
+    Each row is a run of words: a ``%.17g`` field over float64 values takes
+    the four words ``render`` gives, with the first character of the literal
+    text after it in its last byte; any other field is rendered by ``%`` and
+    padded to whole words; literal text takes its own words. The rows'
+    bytes without their NULs are the text. No field or literal may hold a NUL.
+    """
+    pieces = _SPEC.split(row_format)
+    n = len(columns[0])
+    floats = [i for i, spec in enumerate(pieces[1::2]) if spec == "%.17g"
+              and isinstance(columns[i], np.ndarray) and columns[i].dtype == np.float64]
+    rendered = render(np.concatenate([columns[i] for i in floats])) if floats else None
+    words: list = _words(pieces[0])
+    for i, (spec, literal) in enumerate(zip(pieces[1::2], pieces[2::2])):
+        if i in floats:
+            first = floats.index(i) * n
+            words.extend(rendered[:, first:first + n])
+            if literal:
+                words[-1] |= _U64(ord(literal[0]) << 56)
+                literal = literal[1:]
+        else:
+            words.extend(_percent_words(spec, columns[i]))
+        words.extend(_words(literal))
+    rows = np.empty((n, len(words)), dtype=_WORD)
+    for column, word in enumerate(words):
+        rows[:, column] = word
+    # Each step frees the one before: the block's text is held twice at most.
+    del words, rendered
+    text = rows.tobytes()
+    del rows
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")

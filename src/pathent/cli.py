@@ -13,10 +13,14 @@ A flat ``key = value`` config file can pre-set any option of the active
 command, keyed by its long flag name, each key at most once; explicit flags
 win over the file. A ``#`` that starts a line or follows whitespace starts a
 comment, so ``output = run#1.csv`` keeps its ``#`` and ``points = 3  # three``
-sets 3. Results are written as CSV with LF line endings to --output,
-or to stdout, formatted and written in blocks of 1024 rows, so the text is
-never held whole. Numbers carry 17 significant digits so every field parses
-back to the exact computed value. Diagnostics go to stderr; exit status is 0 on
+sets 3. A flag's value may be negative in any float notation
+(``--phi-start -1e-3``, ``--v-start -inf``). Results are written as CSV
+with LF line endings to --output, or to stdout, formatted and written in
+blocks of 2048 rows, so the text is never held whole. Numbers carry 17
+significant digits (``%.17g``) so every field parses back to the exact
+computed value. A block's floats are rendered by an exact vectorised kernel
+(``_g17``); a block of fewer than 256 rows, and a value outside the kernel's
+range, use Python's ``%``. Diagnostics go to stderr; exit status is 0 on
 success, 2 for usage errors, 3 for invalid configuration (including an
 unreadable config file and a grid too large to allocate), 4 when the output
 cannot be written.
@@ -283,8 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Rows per ``%`` operation and write; bounds the output text held in memory.
-_BLOCK_ROWS = 1024
+#: Rows per formatting pass and write; bounds the output text held in memory.
+_BLOCK_ROWS = 2048
+#: Blocks of fewer rows go to ``%`` alone: for them the vectorised
+#: renderer's fixed cost per block outweighs its gain.
+_KERNEL_ROWS = 256
 
 
 def _write_output(destination: str | None, head: str, row_format: str, columns: Sequence) -> None:
@@ -294,17 +301,42 @@ def _write_output(destination: str | None, head: str, row_format: str, columns: 
     with sink as handle:
         handle.write(head)
         for first in range(0, len(columns[0]), _BLOCK_ROWS):
-            # Python numbers: tolist(), or list() for seeds, which may exceed int64.
             parts = [column[first:first + _BLOCK_ROWS] for column in columns]
-            rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else list(p) for p in parts))
-            handle.write(row_format * len(parts[0]) % tuple(itertools.chain.from_iterable(rows)))
+            if len(parts[0]) >= _KERNEL_ROWS:
+                from . import _g17  # imported by the first long block only
+
+                text = _g17.format_rows(row_format, parts)
+            else:
+                # Python numbers: tolist(), or list() for seeds, which may exceed int64.
+                rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else list(p) for p in parts))
+                text = row_format * len(parts[0]) % tuple(itertools.chain.from_iterable(rows))
+            handle.write(text)
+
+
+#: A value that starts like a negative number. argparse on Python 3.10 to 3.13.0
+#: reads only ``-1`` or ``-1.5`` as one, so ``--phi-start -1e-3`` or
+#: ``--v-start -inf`` would fail as a flag with no value.
+_NEGATIVE_VALUE = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Join each flag and a negative value after it into one ``--flag=value``."""
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (flag.startswith("-") and "=" not in flag and flag not in ("-h", "--help")
+                and _NEGATIVE_VALUE.match(token)):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, execute the selected command, write its output."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pathent
+import pathent.cli
 from pathent.bell import bell_angle_settings, ch_statistic
 from pathent.correlations import Efficiency, Visibility
 from pathent.geometry import DetectorSetting, EmitterPair, phase_difference
@@ -528,6 +529,41 @@ _SAMPLE_VALUES = {
 _COMPANION_FLAGS = {"xi-start": ["--xi-stop", "0.5"], "xi-stop": ["--xi-start", "-0.5"]}
 
 
+def _float_flags():
+    """(command, flag) for every option that takes a float or a float list."""
+    return [
+        (command, action.option_strings[-1])
+        for command, subparser in _subparsers().items()
+        for action in subparser._actions
+        if action.type in (float, pathent.cli._parse_float_list)
+    ]
+
+
+class TestNegativeValues:
+    @pytest.mark.parametrize("value", ["-1e-3", "-.5e2"])
+    @pytest.mark.parametrize("command, flag", _float_flags())
+    def test_float_flag_takes_a_negative_value_in_any_notation(self, capsys, command, flag,
+                                                                value):
+        extra = _COMPANION_FLAGS.get(flag[2:], [])
+        spaced = run_capture(capsys, [command, flag, value, *extra])
+        assert spaced[0] != 2, spaced[2]
+        assert spaced == run_capture(capsys, [command, f"{flag}={value}", *extra])
+
+    def test_negative_infinity_reaches_the_domain_check(self, capsys):
+        code, out, err = run_capture(capsys, ["bell-test", "--v-start", "-inf"])
+        assert (code, out) == (3, "")
+        assert "v_start and v_stop must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["g2-scan", "--bogus", "-1e-3"],
+        ["g2-scan", "--points", "3", "-1e-3"],
+    ])
+    def test_unknown_flag_or_stray_value_is_still_a_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+
 class TestFlagConfigParity:
     @pytest.mark.parametrize("command", list(_subparsers()))
     def test_every_long_option_is_a_config_key(self, capsys, tmp_path, command):
@@ -760,6 +796,23 @@ def test_import_leaves_numpy_random_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], "False"),
+    (["path-check", "--grid-points", "10"], "False"),
+    (["g2-scan", "--points", "300"], "True"),
+])
+def test_float_renderer_loads_only_for_long_outputs(tmp_path, argv, loaded):
+    # An import, or a run whose blocks all fall below the renderer's row
+    # cutoff, does not load the renderer module (pathent._g17).
+    code = ("import sys, pathent.cli; argv = sys.argv[1:]; "
+            "argv and pathent.cli.run(argv); print('pathent._g17' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(pathent.__file__).parents[1])}
+    output = ["-o", str(tmp_path / "out.csv")] if argv else []
+    result = subprocess.run([sys.executable, "-c", code, *argv, *output], env=env,
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == f"{loaded}\n"
 
 
 def test_output_memory_stays_below_output_size(tmp_path):

@@ -152,6 +152,10 @@ kds = st.floats(min_value=0.1, max_value=50.0)
     e0=e0s, visibility=contrasts, eta=etas,
 )
 @example(phi_start=0.0, phi_stop=1.0, points=3, e0=1e-80, visibility=0.5, eta=1.0)  # subnormal g2
+# Blocks long enough for the vectorised renderer: subnormal g2 printed in
+# scientific notation, then g2 up to 81 and dark-fringe zeros and tiny values.
+@example(phi_start=-50.0, phi_stop=50.0, points=5000, e0=1e-80, visibility=0.9, eta=0.7)
+@example(phi_start=-50.0, phi_stop=50.0, points=5000, e0=3.0, visibility=1.0, eta=0.9)
 def test_g2_scan_phase_mode(**options):
     assert_matches_reference("g2-scan", reference_g2_scan, options)
 
@@ -173,6 +177,7 @@ def test_g2_scan_angle_mode(**options):
     v_points=st.integers(min_value=1, max_value=300), eta=etas,
 )
 @example(v_start=0.0, v_stop=1.0, v_points=2100, eta=0.9)  # several CSV formatting blocks
+@example(v_start=0.7, v_stop=0.72, v_points=5000, eta=0.9)  # margins near 0 at v = 1/sqrt(2)
 def test_bell_test_visibility_range(**options):
     assert_matches_reference("bell-test", reference_bell_test, options)
 
@@ -229,6 +234,8 @@ def seed_ranges(draw):
 @example(seeds=(5, 4), trials=1000, visibility=0.9, eta=1e-160)  # -2,0,-inf rows
 @example(seeds=(2**64 - 10, 10), trials=2**63 - 1, visibility=0.9, eta=0.8)
 @example(seeds=(0, 40), trials=10**6, visibility=0.9, eta=1.0)
+@example(seeds=(2**64 - 600, 600), trials=1000, visibility=0.9, eta=0.8)  # renderer blocks
+@example(seeds=(0, 600), trials=1, visibility=1.0, eta=1.0)  # renderer blocks with inf
 def test_mc_bell(seeds, **options):
     seed_start, num_seeds = seeds
     options.update(seed_start=seed_start, num_seeds=num_seeds)
