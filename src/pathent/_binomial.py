@@ -1,0 +1,361 @@
+"""numpy's ``Generator.binomial`` over many fresh PCG64 streams at once, bit for bit.
+
+``binomial(words, n, p)`` takes a (seeds, terms, 4) uint64 array of seed words
+and one probability per term. It returns the (seeds, terms) counts that
+``Generator(PCG64(words[s, t])).binomial(n, p[t])`` draws in numpy itself, by a
+port of numpy's C code to uint64 and float64 arrays:
+
+- PCG64 (O'Neill 2014): ``pcg64_set_seed`` takes the words as the 128-bit
+  ``[hi, lo]`` state and sequence, ``inc = seq << 1 | 1``, and steps twice;
+  each draw is one 128-bit LCG step and the XSL-RR output, and a double is
+  ``(x >> 11) * 2**-53``.
+- ``random_binomial``: with ``r = min(p, 1 - p)``, inversion when
+  ``r * n <= 30`` and BTPE (Kachitvichyanukul & Schmeiser 1988) otherwise,
+  on ``r``, the count then flipped to ``n - y`` when ``p > 0.5``.
+
+Bit-identity rests on computing what numpy's C code computes, in its order:
+the inversion start ``exp(n * log1p(-p))`` (with ``log(1 - p)`` hundreds of
+counts in ten thousand differ at n = 1e15, p = 1e-14); libm's ``log`` through
+``math.log`` for every log BTPE takes (``np.log`` may be a SIMD routine whose
+last bit differs from libm on a fraction of a percent of inputs); C's int64
+wrap-around in ``-k * k``; and the terms ``n + 1 - m`` and ``n - y + 1`` of
+Stirling's bound, which numpy forms in float64, not int64. Each sampler's
+set-up is scalar Python arithmetic per term. n is at most ``2**62``: C's
+``n + 1`` wraps at ``2**63 - 1``.
+
+Both samplers restart from nothing but the RNG state after a rejection, so a
+draw is a sequence of masked rounds over the still-pending streams, and the
+few streams left after some rounds are finished by numpy from their current
+state. ``port_agrees`` compares the port with numpy on fixed probes, because
+NEP 19 lets ``binomial`` change between numpy releases.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from typing import Sequence
+
+import numpy as np
+from numpy.random import Generator, PCG64
+
+#: Rounds of the port before the pending streams are left to numpy.
+_ROUNDS = 8
+#: Pending streams few enough to leave to numpy without another round.
+_STRAGGLERS = 16
+
+_MASK32 = 0xFFFF_FFFF
+_MULTIPLIER = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645  # PCG's 128-bit default
+_MULT_HI, _MULT_LO = _MULTIPLIER >> 64, _MULTIPLIER & (2**64 - 1)
+_TWO_M53 = 2.0**-53
+
+
+# PCG64 on uint64 arrays. A stream set is one (4, N) array: state hi and lo,
+# increment hi and lo; numpy's uint64 array arithmetic wraps modulo 2**64.
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    w1 = a1 * b0 + (a0 * b0 >> 32)
+    w2 = a0 * b1 + (w1 & _MASK32)
+    return a1 * b1 + (w1 >> 32) + (w2 >> 32)
+
+
+def _step(streams: np.ndarray) -> None:
+    """state = state * multiplier + inc, modulo 2**128, in place."""
+    hi, lo, inc_hi, inc_lo = streams
+    new_hi = _mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
+    new_lo = lo * _MULT_LO + inc_lo
+    streams[0] = new_hi + inc_hi + (new_lo < inc_lo)
+    streams[1] = new_lo
+
+
+def _seeded(words: np.ndarray) -> np.ndarray:
+    """numpy's ``pcg64_set_seed`` on each row ``[state hi, lo, seq hi, lo]``."""
+    seed_hi, seed_lo, seq_hi, seq_lo = words.T
+    streams = np.empty((4, len(words)), dtype=np.uint64)
+    streams[2] = seq_hi << 1 | seq_lo >> 63
+    streams[3] = seq_lo << 1 | 1
+    streams[:2] = streams[2:]  # the first step, from state 0, gives inc
+    streams[1] += seed_lo
+    streams[0] += seed_hi + (streams[1] < seed_lo)
+    _step(streams)
+    return streams
+
+
+def _next_double(streams: np.ndarray) -> np.ndarray:
+    """Step every stream and return its next double in [0, 1)."""
+    _step(streams)
+    hi, lo = streams[0], streams[1]
+    rot = hi >> 58
+    x = hi ^ lo
+    return ((x >> rot | x << (-rot & 63)) >> 11).astype(np.float64) * _TWO_M53
+
+
+def _log(values: np.ndarray) -> np.ndarray:
+    """C's ``log`` element by element: libm's value, -inf at 0 and nan below."""
+    log, inf, nan = math.log, -math.inf, math.nan
+    return np.array([log(x) if x > 0.0 else inf if x == 0.0 else nan for x in values.tolist()],
+                    dtype=np.float64)
+
+
+# The samplers. Each holds its set-up for a few terms as arrays along those
+# terms. ``round`` makes one attempt on every stream, ``g`` giving each
+# stream's term, and returns (accepted, counts of the accepted).
+
+class _Inversion:
+    """numpy's ``random_binomial_inversion``: walk the pmf from 0 up to ``bound``."""
+
+    def __init__(self, n: int, r: list[float]) -> None:
+        self.n, self.r = n, np.array(r)
+        self.q = 1.0 - self.r
+        self.qn = np.array([math.exp(float(n) * math.log1p(-p)) for p in r])
+        np_ = [float(n) * p for p in r]
+        bounds = [x + 10.0 * math.sqrt(x * (1.0 - p) + 1.0) for x, p in zip(np_, r)]
+        self.bound = np.array([int(min(float(n), bound)) for bound in bounds])
+
+    def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = _next_double(streams)
+        p, q, bound, px = self.r[g], self.q[g], self.bound[g], self.qn[g]
+        x = np.zeros(u.size, dtype=np.int64)
+        accepted = np.ones(u.size, dtype=bool)
+        walking = np.flatnonzero(u > px)
+        j = 0
+        while walking.size:  # every walking stream is at the same X = j
+            j += 1
+            over = j > bound[walking]
+            accepted[walking[over]] = False  # C starts over
+            walking = walking[~over]
+            u[walking] -= px[walking]
+            px[walking] = float(self.n - j + 1) * p[walking] * px[walking] / (j * q[walking])
+            x[walking] = j
+            walking = walking[u[walking] > px[walking]]
+        return accepted, x[accepted]
+
+
+class _BtpeTerm:
+    """BTPE's set-up for one (n, r), as scalar Python arithmetic in C's order."""
+
+    def __init__(self, n: int, r: float) -> None:
+        nf = float(n)
+        q = 1.0 - r
+        fm = nf * r + r
+        m = math.floor(fm)
+        p1 = math.floor(2.195 * math.sqrt(nf * r * q) - 4.6 * q) + 0.5
+        xm = m + 0.5
+        xl, xr = xm - p1, xm + p1
+        c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * r)
+        laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        lamr = a * (1.0 + a / 2.0)
+        p2 = p1 * (1.0 + 2.0 * c)
+        p3 = p2 + c / laml
+        self.r, self.q, self.m, self.nrq = r, q, m, nf * r * q
+        self.p1, self.p2, self.p3, self.p4 = p1, p2, p3, p3 + c / lamr
+        self.xm, self.xl, self.xr, self.c, self.laml, self.lamr = xm, xl, xr, c, laml, lamr
+        self._s = r / q
+        self._a = self._s * float(n + 1)
+
+    def _factor(self, i: int) -> float:
+        return self._a / float(i) - self._s
+
+    def up(self, kmax: int) -> list[float]:
+        """Step 50's F for y = m + k, k = 0..kmax: the running product from m + 1 to y."""
+        f = [1.0]
+        for i in range(self.m + 1, self.m + kmax + 1):
+            f.append(f[-1] * self._factor(i))
+        return f
+
+    def down(self, kmax: int) -> list[float]:
+        """Step 50's F for y = m - k, k = 0..kmax, nan below y = 0.
+
+        C divides from y + 1 up to m, so each k has a loop of its own.
+        """
+        f = [1.0]
+        for k in range(1, min(kmax, self.m) + 1):
+            value = 1.0
+            for i in range(self.m - k + 1, self.m + 1):
+                value /= self._factor(i)
+            f.append(value)
+        return f + [math.nan] * (kmax + 1 - len(f))
+
+
+class _Btpe:
+    """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` and ``n * r > 30``."""
+
+    def __init__(self, n: int, r: list[float]) -> None:
+        self.n = n
+        self.terms = [_BtpeTerm(n, p) for p in r]
+        for name in ("r", "q", "m", "nrq", "p1", "p2", "p3", "p4",
+                     "xm", "xl", "xr", "c", "laml", "lamr"):
+            setattr(self, name, np.array([getattr(term, name) for term in self.terms]))
+        self._up = self._down = np.ones((len(r), 1))
+
+    def _products(self, y: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Step 50's F for each y at k = |y - m|, from each term's tables."""
+        above = y > self.m[g]
+        kmax = int(k.max(initial=0))
+        if k.max(where=above, initial=0) >= self._up.shape[1]:
+            self._up = np.array([term.up(kmax) for term in self.terms])
+        if k.max(where=~above, initial=0) >= self._down.shape[1]:
+            self._down = np.array([term.down(kmax) for term in self.terms])
+        return np.where(above, self._up[g, np.minimum(k, self._up.shape[1] - 1)],
+                        self._down[g, np.minimum(k, self._down.shape[1] - 1)])
+
+    def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p1, p2, p3, xl, c, m = self.p1[g], self.p2[g], self.p3[g], self.xl[g], self.c[g], self.m[g]
+        u = _next_double(streams) * self.p4[g]
+        v = _next_double(streams)
+        # Step 10 accepts the triangle; step 20's box gives a candidate y and a
+        # new v to step 50, or rejects. Both are evaluated for every stream.
+        accepted = u <= p1
+        x = xl + (u - p1) / c
+        y = np.floor(np.where(accepted, self.xm[g] - p1 * v + u, x)).astype(np.int64)
+        vb = v * c + 1.0 - np.abs(m - x + 0.5) / p1
+        box = ~accepted & (u <= p2) & (vb <= 1.0)
+        v = np.where(box, vb, v)
+        tested = [np.flatnonzero(box)]
+        # Steps 30 and 40, the tails, reject v == 0: its log has no floor.
+        left = np.flatnonzero((u > p2) & (u <= p3) & (v > 0.0))
+        laml = self.laml[g[left]]
+        yt = np.floor(xl[left] + _log(v[left]) / laml).astype(np.int64)
+        vt = v[left] * (u[left] - p2[left]) * laml
+        keep = yt >= 0
+        left = left[keep]
+        y[left], v[left] = yt[keep], vt[keep]
+        tested.append(left)
+        right = np.flatnonzero((u > p3) & (v > 0.0))
+        lamr = self.lamr[g[right]]
+        yt = np.floor(self.xr[g[right]] - _log(v[right]) / lamr).astype(np.int64)
+        vt = v[right] * (u[right] - p3[right]) * lamr
+        keep = yt <= self.n
+        right = right[keep]
+        y[right], v[right] = yt[keep], vt[keep]
+        tested.append(right)
+
+        at = np.concatenate(tested)
+        k = np.abs(y[at] - m[at])
+        squeeze = (k > 20) & (k < self.nrq[g[at]] / 2.0 - 1)
+        # Step 50: compare v with the product F of the pmf ratios from m to y.
+        product = at[~squeeze]
+        accepted[product] = v[product] <= self._products(y[product], k[~squeeze], g[product])
+        # Step 52: a squeeze, then Stirling's bound on log(F).
+        at = at[squeeze]
+        accepted[at] = self._squeeze(y[at], v[at], k[squeeze], g[at])
+        return accepted, y[accepted]
+
+    def _squeeze(self, y: np.ndarray, v: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
+        nrq, kf = self.nrq[g], k.astype(np.float64)
+        rho = (kf / nrq) * ((kf * (kf / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+        t = (-k * k).astype(np.float64) / (2 * nrq)  # int64 product, wrapping as in C
+        big_a = _log(v)
+        # C's comparisons as written: a nan A (v < 0) is neither accepted nor
+        # rejected here, passes Stirling's bound below and is accepted.
+        accepted = big_a < t - rho
+        undecided = np.flatnonzero(~accepted & ~(big_a > t + rho))
+        n, yu, gu = self.n, y[undecided], g[undecided]
+        m, r, q = self.m[gu], self.r[gu], self.q[gu]
+        # numpy forms these four in float64 from n, m and y, not in int64:
+        # above 2**53 the two differ.
+        yf, mf = yu.astype(np.float64), m.astype(np.float64)
+        x1, f1 = yf + 1.0, mf + 1.0
+        z, w = float(n) + 1.0 - mf, float(n) - yf + 1.0
+        bound = (self.xm[gu] * _log(f1 / x1)
+                 + ((n - m).astype(np.float64) + 0.5) * _log(z / w)
+                 + (yu - m).astype(np.float64) * _log(w * r / (x1 * q))
+                 + _stirling(f1) + _stirling(z) + _stirling(x1) + _stirling(w))
+        accepted[undecided] = ~(big_a[undecided] > bound)
+        return accepted
+
+
+def _stirling(x: np.ndarray) -> np.ndarray:
+    """One of BTPE's four Stirling correction terms, in C's operation order."""
+    x2 = x * x
+    return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
+
+
+@functools.lru_cache(maxsize=8)
+def _samplers(n: int, r: tuple[float, ...]) -> list[tuple[_Inversion | _Btpe, list[int]]]:
+    """The sampler numpy's ``random_binomial`` picks for each r, with its terms.
+
+    Terms with r = 0 draw nothing and get no sampler.
+    """
+    inversion = [t for t, x in enumerate(r) if 0.0 < x and x * float(n) <= 30.0]
+    btpe = [t for t, x in enumerate(r) if x * float(n) > 30.0]
+    return [(kind(n, [r[t] for t in terms]), terms)
+            for kind, terms in ((_Inversion, inversion), (_Btpe, btpe)) if terms]
+
+
+def binomial(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
+    """numpy's (seeds, terms) counts for (seeds, terms, 4) seed words, p per term.
+
+    ``n`` is a Python int in [1, 2**62].
+    """
+    p = np.asarray(p, dtype=np.float64)
+    flip = p > 0.5
+    r = np.where(flip, 1.0 - p, p)
+    counts = np.zeros(words.shape[:2], dtype=np.int64)
+    for sampler, terms in _samplers(n, tuple(r.tolist())):
+        g = np.tile(np.arange(len(terms)), len(words))
+        streams = words if len(terms) == len(p) else words[:, terms]  # no copy for all terms
+        counts[:, terms] = _rounds(sampler, streams.reshape(-1, 4), g).reshape(-1, len(terms))
+    return np.where(flip, n - counts, counts)
+
+
+def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Masked rounds over the pending streams, then numpy for the stragglers."""
+    counts = np.zeros(len(words), dtype=np.int64)
+    streams = _seeded(words)
+    pending = np.arange(len(words))
+    for _ in range(_ROUNDS):
+        if pending.size <= _STRAGGLERS:
+            break
+        accepted, drawn = sampler.round(streams, g)
+        counts[pending[accepted]] = drawn
+        pending, streams, g = pending[~accepted], streams[:, ~accepted], g[~accepted]
+    if pending.size:
+        counts[pending] = _finish(streams, sampler.n, sampler.r[g])
+    return counts
+
+
+def _finish(streams: np.ndarray, n: int, r: np.ndarray) -> list[int]:
+    """numpy draws ``binomial(n, r)`` from each stream's current state."""
+    bit_generator = PCG64(0)
+    generator = Generator(bit_generator)
+    counts = []
+    for (hi, lo, inc_hi, inc_lo), p in zip(streams.T.tolist(), r.tolist()):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        counts.append(generator.binomial(n, p))
+    return counts
+
+
+#: (n, p per term, first word) probes for port_agrees, each on 32 seeds whose
+#: words count up from ``first`` times the golden ratio: inversion on both
+#: sides of p = 0.5 and at n = 1e15, p = 1e-14 (where log(1 - p) would
+#: differ), and BTPE at sizes whose draws reach its tails and Stirling's bound.
+#: The last two start where a draw takes Stirling's bound above 2**53 (where
+#: its float64 terms differ from int64 ones) and where C's -k * k wraps.
+_PROBES = ((10**15, (1e-14, 2e-14), 0), (20, (0.2, 0.93, 0.0, 1.0), 0),
+           (1000, (0.3, 0.75, 0.05), 0), (10**6, (0.5,), 0),
+           (2**53 + 1, (0.25, 1e-14), 512), (2**62, (0.5, 1e-17), 1024))
+_PROBE_SEEDS = 32
+
+
+@functools.cache
+def port_agrees() -> bool:
+    """Whether the port draws numpy's counts on fixed probes; checked once."""
+    from .montecarlo import _numpy_counts
+
+    for n, p, first in _PROBES:
+        words = np.arange(first, first + _PROBE_SEEDS * len(p) * 4, dtype=np.uint64)
+        words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4)
+        if not np.array_equal(binomial(words, n, p), _numpy_counts(words, n, p)):
+            return False
+    return True

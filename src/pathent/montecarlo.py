@@ -10,12 +10,18 @@ time and memory per pair do not grow with ``n``.
 Every (seed, setting pair) draws from its own substream, numpy's
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(term_index,)))``, so
 counts depend only on (seed, trials, settings) and never on evaluation order
-or on the other seeds of a run. A run takes one seed or a sequence of them.
-The seeding is batched: the ``SeedSequence`` hash is evaluated as uint32
-array arithmetic over a block of seeds times the four terms, and numpy seeds
-each stream's PCG64 from its four words. Numpy's stream-compatibility policy
-(NEP 19) fixes the hash, and the draws are bit-identical to building each
-generator with numpy.
+or on the other seeds of a run. A run takes one seed or a sequence of them,
+drawn in passes of about 2**12 streams (1024 seeds times the four terms). In
+each pass the ``SeedSequence`` hash is evaluated as uint32 array arithmetic,
+and the counts are drawn all at once by ``_binomial``: a port of numpy's PCG64
+and of its binomial sampler (inversion, or BTPE) to uint64 and float64
+arrays. It uses libm's ``log`` through ``math.log`` and the inversion start
+``exp(n * log1p(-p))``, as numpy's C code does, and its counts are bit-identical
+to building each generator with numpy. A pass of fewer than 256 streams, or a
+sample size above 2**62, is drawn by numpy one generator per stream, as is
+every pass if the port differs from numpy on the fixed probes it is checked
+against on first use. Numpy's stream-compatibility policy (NEP 19) fixes the
+hash and the bit generator.
 
 The plug-in estimator of the normalized CH74 margin is
 
@@ -31,7 +37,7 @@ lets ``Generator`` distributions such as binomial change between releases.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,12 +47,18 @@ from .bell import ChSettings, star_probability
 from .correlations import joint_probability_at_phase
 
 _MAX_SEED = 2**64
+#: Most seeds a range may hold: an array of more uint64 would exceed the address space.
+_MAX_RANGE = np.iinfo(np.intp).max // 8
 #: Largest sample size numpy's binomial sampler takes (a signed 64-bit integer).
 _MAX_TRIALS = 2**63 - 1
-#: Seeds hashed and drawn per pass of simulate_counts; bounds the working set
-#: (four hashed uint64 words per seed and term) to this many seeds.
-_SEED_BLOCK = 256
 _TERMS = 4
+#: Seeds hashed and drawn per pass of simulate_counts: about 2**12 streams,
+#: which bounds the working set whatever the number of seeds.
+_PASS_SEEDS = 2**12 // _TERMS
+#: A pass of fewer streams, or a sample size above 2**62, is drawn by numpy
+#: one stream at a time instead of by the vectorised port.
+_PORT_STREAMS = 256
+_PORT_MAX_TRIALS = 2**62
 
 
 def _integer(name: str, value: object) -> object:
@@ -64,9 +76,18 @@ def _checked_seed(value: object) -> object:
 def _seed_array(seed: object) -> np.ndarray:
     """``seed`` as a uint64 array: 0-d for one integer, 1-d for a sequence.
 
-    A sequence is a range, list, tuple or 1-d array. Its elements are checked
-    in order, so a long range fails at its first bad seed without being built.
+    A sequence is a range, list, tuple or 1-d array. A range whose first and
+    last seeds are in bounds holds only valid seeds and is built as uint64
+    array arithmetic, exact up to ``2**64 - 1``. Other sequences are checked
+    element by element in order, so a long range fails at its first bad seed
+    without being built.
     """
+    if isinstance(seed, range) and seed and all(0 <= s < _MAX_SEED for s in (seed[0], seed[-1])):
+        count = (seed[-1] - seed[0]) // seed.step + 1
+        if count > _MAX_RANGE:
+            raise ValueError(f"seed range must hold at most {_MAX_RANGE} seeds, got {count}")
+        # uint64 arithmetic wraps modulo 2**64, so a negative step adds its complement.
+        return np.arange(count, dtype=np.uint64) * (seed.step % _MAX_SEED) + seed[0]
     if isinstance(seed, (range, list, tuple)) or (isinstance(seed, np.ndarray) and seed.ndim == 1):
         seeds = np.fromiter(map(_checked_seed, seed), np.uint64)
         if seeds.size == 0:
@@ -200,12 +221,56 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
                 call += 1
     terms = np.arange(_TERMS, dtype=np.uint32)
     pool = [_mix(word[:, np.newaxis], _hashmix(terms, call + dst)) for dst, word in enumerate(pool)]
-    words = []
-    for i in range(2 * len(pool)):
+
+    def state_word(i: int) -> np.ndarray:
         word = (pool[i % len(pool)] ^ _STATE_CONSTANTS[i]) * _STATE_CONSTANTS[i + 1]
-        words.append((word ^ (word >> _XSHIFT)).astype(np.uint64))
+        return (word ^ (word >> _XSHIFT)).astype(np.uint64)
+
     # Little-endian pairs of uint32 words make the uint64 words.
-    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, len(words), 2)], axis=-1)
+    return np.stack([state_word(i) | state_word(i + 1) << 32 for i in range(0, 2 * len(pool), 2)],
+                    axis=-1)
+
+
+@functools.cache
+def _stream_words() -> type:
+    """An ``ISeedSequence`` that hands one stream's hashed words to numpy's PCG64.
+
+    Defined once, on first use: numpy.random loads lazily, and `import
+    pathent.cli` stays free of its ~10 ms import for the commands that never
+    draw.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words  # PCG64 reads the buffer raw: 4 contiguous uint64
+
+        def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only 4 uint64 words are hashed, got {n_words} {dtype!r}")
+            return self.words
+
+    return StreamWords
+
+
+def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
+    """(seeds, terms) counts drawn by numpy, one ``Generator`` per stream of ``words``."""
+    stream_words = _stream_words()
+    return np.array([
+        [np.random.Generator(np.random.PCG64(stream_words(row))).binomial(n, q)
+         for row, q in zip(rows, p)]
+        for rows in words
+    ], dtype=np.int64).reshape(words.shape[:2])
+
+
+def _draw(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
+    """numpy's counts for one pass: by the vectorised port where it applies."""
+    if words.shape[0] * words.shape[1] >= _PORT_STREAMS and n <= _PORT_MAX_TRIALS:
+        from . import _binomial  # imported by the first pass that uses it
+
+        if _binomial.port_agrees():
+            return _binomial.binomial(words, int(n), p)
+    return _numpy_counts(words, n, p)
 
 
 def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
@@ -216,21 +281,6 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     phase difference; time and memory are constant in ``trials_per_setting``.
     An integer seed gives four ints, a sequence four arrays along the seeds.
     """
-    # Imported here: numpy.random loads lazily, and `import pathent.cli`
-    # stays free of its ~10 ms import for the commands that never draw.
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StreamWords(ISeedSequence):
-        """One stream's hashed words, handed to numpy's PCG64 as its seed."""
-
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words  # PCG64 reads the buffer raw: 4 contiguous uint64
-
-        def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"only 4 uint64 words are hashed, got {n_words} {dtype!r}")
-            return self.words
-
     settings = cfg.settings
     probabilities = [
         joint_probability_at_phase(delta, settings.v, settings.eta)
@@ -238,13 +288,9 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     ]
     seeds = cfg.seeds.reshape(-1)
     counts = np.empty((seeds.size, _TERMS), dtype=np.int64)
-    for first in range(0, seeds.size, _SEED_BLOCK):
-        words = _seed_words(seeds[first:first + _SEED_BLOCK]).reshape(-1, 4)
-        block = [
-            np.random.Generator(np.random.PCG64(StreamWords(row))).binomial(cfg.trials_per_setting, p)
-            for p, row in zip(itertools.cycle(probabilities), words)
-        ]
-        counts[first:first + _SEED_BLOCK] = np.reshape(block, (-1, _TERMS))
+    for first in range(0, seeds.size, _PASS_SEEDS):
+        words = _seed_words(seeds[first:first + _PASS_SEEDS])
+        counts[first:first + _PASS_SEEDS] = _draw(words, cfg.trials_per_setting, probabilities)
     return tuple(_python(count.reshape(cfg.seeds.shape)) for count in counts.T)
 
 

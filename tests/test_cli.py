@@ -789,9 +789,10 @@ class TestFuzz:
 
 def test_import_leaves_numpy_random_unloaded():
     # Every command pays for what `import pathent.cli` loads; numpy.random
-    # (~10 ms) is imported only when mc-bell draws.
+    # (~10 ms) and the binomial port are imported only when mc-bell draws.
     code = ("import sys, numpy; before = set(sys.modules); import pathent, pathent.cli; "
-            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random')))")
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.startswith('numpy.random') or m == 'pathent._binomial'))")
     env = {**os.environ, "PYTHONPATH": str(Path(pathent.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)

@@ -1,15 +1,21 @@
 """Seeded coincidence counting: determinism, binomial oracles, convergence."""
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
+import pathent
+from pathent import _binomial, cli
 from pathent.bell import ChSettings, bell_angle_settings, ch_statistic
 from pathent.correlations import (
     Efficiency,
@@ -19,8 +25,13 @@ from pathent.correlations import (
     joint_probability_at_phase,
 )
 from pathent.montecarlo import (
+    _PASS_SEEDS,
+    _PORT_STREAMS,
     McConfig,
     McEstimate,
+    _draw,
+    _numpy_counts,
+    _seed_array,
     _seed_words,
     estimate_ch,
     simulate_counts,
@@ -291,6 +302,179 @@ class TestBatchedSeeding:
         with pytest.raises(ValueError, match="got -2$"):
             McConfig(seed=range(-2, 10**30), trials_per_setting=10,
                      settings=bell_angle_settings(UNIT_VISIBILITY))
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(5), range(2**64 - 3000, 2**64), range(2**64 - 1, 2**64 - 3001, -1),
+         range(3, 100, 7), range(2**63 - 2, 2**63 + 3), range(0, 2**64 + 1, 2**63 + 1)],
+        ids=["small", "top", "descending", "stepped", "across-2**63", "stop-past-2**64"],
+    )
+    def test_range_in_bounds_is_built_exactly(self, seeds):
+        built = _seed_array(seeds)
+        assert built.dtype == np.uint64
+        assert built.tolist() == list(seeds)
+
+    @pytest.mark.parametrize("seeds", [range(2**63 - 1), range(2**64 - 1, -1, -1)])
+    def test_range_too_long_to_hold_fails_before_building(self, seeds):
+        with pytest.raises(ValueError, match="seed range must hold at most"):
+            McConfig(seed=seeds, trials_per_setting=10,
+                     settings=bell_angle_settings(UNIT_VISIBILITY))
+
+
+def numpy_counts(seeds, n, p):
+    """(seeds, terms) counts, each stream's generator built by numpy from its seed."""
+    return np.array([[numpy_term_rng(seed, t).binomial(n, q) for t, q in enumerate(p)]
+                     for seed in seeds], dtype=np.int64)
+
+
+def edge_probabilities(n):
+    """Probabilities at the sampler edges for n: the ends, 1/2, 1e-14 from either
+    end, and r * n == 30.0 exactly (inversion) and one ulp above it (BTPE)."""
+    at_30 = 30.0 / n if n >= 30 else 1.0
+    assert at_30 * float(n) == 30.0 or n < 30
+    above_30 = math.nextafter(at_30, 1.0) if at_30 < 1.0 else 0.25
+    return [(0.0, 0.5, 1.0, 1e-14), (1.0 - 1e-14, at_30, above_30, 1.0 - at_30)]
+
+
+PORT_AGREES = _binomial.port_agrees()
+#: The port is checked against numpy's own sampler; a numpy whose binomial
+#: differs fails port_agrees, and every draw then goes to numpy.
+needs_port = pytest.mark.skipif(
+    not PORT_AGREES, reason="this numpy's binomial differs from the port, which is then unused")
+
+TRIALS = [1, 30, 31, 1000, 10**6, 10**15, 2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1]
+
+
+class TestBinomialPort:
+    """The vectorised PCG64 and binomial port against numpy's own generators."""
+
+    @needs_port
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+           st.integers(0, 3))
+    def test_pcg64_seeding_and_doubles_equal_numpys(self, seeds, term):
+        words = _seed_words(np.array(seeds, dtype=np.uint64))[:, term]
+        seeded = _binomial._seeded(words)
+        streams = seeded.copy()
+        doubles = [_binomial._next_double(streams) for _ in range(3)]
+        for i, seed in enumerate(seeds):
+            bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(term,)))
+            state = bit_generator.state["state"]
+            assert seeded[:, i].tolist() == [state["state"] >> 64, state["state"] & (2**64 - 1),
+                                             state["inc"] >> 64, state["inc"] & (2**64 - 1)]
+            assert np.random.Generator(bit_generator).random(3).tolist() == [d[i] for d in doubles]
+
+    @needs_port
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+           st.sampled_from(TRIALS[:-1]),
+           st.lists(st.sampled_from([0.0, 1e-14, 0.03, 0.1, 0.25, 0.5, 0.8, 1.0 - 1e-14, 1.0]),
+                    min_size=4, max_size=4))
+    @example([0, 2**64 - 1], 1000, [0.1, 0.3, 0.2, 0.4])
+    def test_port_equals_numpy(self, seeds, n, p):
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        np.testing.assert_array_equal(_binomial.binomial(words, n, p), numpy_counts(seeds, n, p))
+
+    @pytest.mark.parametrize("n", TRIALS)
+    def test_sampler_edges_equal_numpy(self, n):
+        # 64 seeds x 4 terms reach the port's cutoff; n = 2**63 - 1 is above
+        # the port's range and drawn by numpy.
+        seeds = [0, 2**64 - 1, *range(1, _PORT_STREAMS // 4 - 1)]
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        for p in edge_probabilities(n):
+            expected = numpy_counts(seeds, n, p)
+            np.testing.assert_array_equal(_draw(words, n, p), expected)
+            if n <= 2**62 and PORT_AGREES:
+                np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+
+    @needs_port
+    @pytest.mark.parametrize("n,p", [(10**15, (1e-14, 2e-14, 1e-14, 1 - 1e-14)),
+                                     (2**62, (0.5, 0.25, 0.75, 0.4)),
+                                     (2**53 + 1, (1e-14, 2e-14, 5e-15, 1 - 1e-14)),
+                                     (2**62, (1e-17, 2e-17, 1e-16, 1 - 1e-17)),
+                                     (1000, (0.1, 0.3, 0.2, 0.4))],
+                             ids=["log1p", "int64-wrap", "float64-above-2**53",
+                                  "float64-at-2**62", "btpe"])
+    def test_many_streams_equal_numpy(self, n, p):
+        # Rare branches, each seen in a few of these 4096 streams:
+        # exp(n * log1p(-p)) at n = 1e15, the wrapped int64 -k * k of BTPE's
+        # squeeze at n = 2**62, and Stirling's bound, whose n + 1 - m and
+        # n - y + 1 numpy forms in float64, at n above 2**53 and n * p ~ 100.
+        words = _seed_words(np.arange(2**64 - 1024, 2**64, dtype=np.uint64))
+        np.testing.assert_array_equal(_binomial.binomial(words, n, p), _numpy_counts(words, n, p))
+
+    @needs_port
+    @pytest.mark.parametrize("rounds", [0, 1, 2])
+    def test_stragglers_finished_by_numpy(self, monkeypatch, rounds):
+        # Whatever the round a stream is left pending in, numpy finishes it
+        # from its state with the count it would have drawn itself.
+        monkeypatch.setattr(_binomial, "_ROUNDS", rounds)
+        monkeypatch.setattr(_binomial, "_STRAGGLERS", 0)
+        seeds = range(200)
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        for n, p in [(1000, (0.1, 0.3, 0.2, 0.9)), (20, (0.1, 0.3, 0.97, 0.5))]:
+            np.testing.assert_array_equal(_binomial.binomial(words, n, p),
+                                          numpy_counts(seeds, n, p))
+
+    @pytest.mark.parametrize(
+        "num_seeds, port_passes",
+        [(_PORT_STREAMS // 4 - 1, []), (_PORT_STREAMS // 4, [_PORT_STREAMS // 4]),
+         (_PORT_STREAMS // 4 + 1, [_PORT_STREAMS // 4 + 1]), (_PASS_SEEDS - 1, [_PASS_SEEDS - 1]),
+         (_PASS_SEEDS, [_PASS_SEEDS]), (_PASS_SEEDS + 1, [_PASS_SEEDS])],
+        ids=["below-cutoff", "cutoff", "cutoff+1", "pass-1", "pass", "pass+1"],
+    )
+    def test_pass_edges_equal_numpy(self, monkeypatch, num_seeds, port_passes):
+        # Passes of at least the cutoff go to the port; a smaller one, such as
+        # the one-seed pass after a full one, is drawn by numpy per stream.
+        passes = []
+        port = _binomial.binomial
+        monkeypatch.setattr(_binomial, "binomial",
+                            lambda words, n, p: passes.append(len(words)) or port(words, n, p))
+        seeds = range(2**64 - num_seeds, 2**64)
+        settings = bell_angle_settings(Visibility(v=0.9), Efficiency(eta=0.8))
+        p = [joint_probability_at_phase(delta, settings.v, settings.eta)
+             for delta in settings.phase_differences()]
+        counts = simulate_counts(McConfig(seed=seeds, trials_per_setting=500, settings=settings))
+        np.testing.assert_array_equal(np.transpose(counts), numpy_counts(seeds, 500, p))
+        assert passes == (port_passes if PORT_AGREES else [])
+
+    def test_failing_canary_gives_numpys_bytes(self, monkeypatch, tmp_path):
+        argv = ["mc-bell", "--trials", "1000", "--num-seeds", "300", "--seed-start", "5"]
+        assert cli.run([*argv, "-o", str(tmp_path / "port.csv")]) == 0
+
+        def no_port(*args):
+            raise AssertionError("the port ran after its canary failed")
+
+        monkeypatch.setattr(_binomial, "port_agrees", lambda: False)
+        monkeypatch.setattr(_binomial, "binomial", no_port)
+        assert cli.run([*argv, "-o", str(tmp_path / "numpy.csv")]) == 0
+        assert (tmp_path / "port.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+
+    def test_working_memory_is_flat_in_seeds(self):
+        # The counts themselves grow with the seeds; the memory on top of
+        # them is one pass's, whatever the number of seeds.
+        settings = bell_angle_settings(Visibility(v=0.9))
+        simulate_counts(McConfig(seed=range(300), trials_per_setting=1000, settings=settings))
+        extra = []
+        for num_seeds in (3_000, 30_000):
+            cfg = McConfig(seed=range(num_seeds), trials_per_setting=1000, settings=settings)
+            tracemalloc.start()
+            try:
+                counts = simulate_counts(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - sum(count.nbytes for count in counts))
+        assert extra[1] <= 1.5 * extra[0]
+
+    def test_small_run_never_loads_the_port(self, tmp_path):
+        # Fewer streams than the cutoff (the paper's 20 seeds) are drawn by
+        # numpy and never pay for importing the port.
+        code = ("import sys, pathent.cli; pathent.cli.run(sys.argv[1:]); "
+                "print('pathent._binomial' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(pathent.__file__).parents[1])}
+        argv = ["mc-bell", "--num-seeds", "20", "-o", str(tmp_path / "out.csv")]
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                capture_output=True, text=True, check=True, timeout=60)
+        assert result.stdout == "False\n"
 
 
 class TestEstimateCh:
