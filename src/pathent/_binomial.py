@@ -24,10 +24,11 @@ set-up is scalar Python arithmetic per term. n is at most ``2**62``: C's
 ``n + 1`` wraps at ``2**63 - 1``.
 
 Both samplers restart from nothing but the RNG state after a rejection, so a
-draw is a sequence of masked rounds over the still-pending streams, and the
-few streams left after some rounds are finished by numpy from their current
-state. ``port_agrees`` compares the port with numpy on fixed probes, because
-NEP 19 lets ``binomial`` change between numpy releases.
+draw is a sequence of masked rounds over the still-pending streams. The few
+streams left after some rounds are redrawn by numpy from their seed words:
+it replays the rejected attempts and reaches the same count. ``port_agrees``
+compares the port with numpy on fixed probes, because NEP 19 lets
+``binomial`` change between numpy releases.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, PCG64
 
 #: Rounds of the port before the pending streams are left to numpy.
 _ROUNDS = 8
@@ -305,7 +305,9 @@ def binomial(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
 
 
 def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Masked rounds over the pending streams, then numpy for the stragglers."""
+    """Masked rounds over the pending streams, then numpy redraws the stragglers."""
+    from .montecarlo import _numpy_counts
+
     counts = np.zeros(len(words), dtype=np.int64)
     streams = _seeded(words)
     pending = np.arange(len(words))
@@ -316,23 +318,7 @@ def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray) -> np
         counts[pending[accepted]] = drawn
         pending, streams, g = pending[~accepted], streams[:, ~accepted], g[~accepted]
     if pending.size:
-        counts[pending] = _finish(streams, sampler.n, sampler.r[g])
-    return counts
-
-
-def _finish(streams: np.ndarray, n: int, r: np.ndarray) -> list[int]:
-    """numpy draws ``binomial(n, r)`` from each stream's current state."""
-    bit_generator = PCG64(0)
-    generator = Generator(bit_generator)
-    counts = []
-    for (hi, lo, inc_hi, inc_lo), p in zip(streams.T.tolist(), r.tolist()):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        counts.append(generator.binomial(n, p))
+        counts[pending] = _numpy_counts(words[pending], sampler.n, sampler.r[g])
     return counts
 
 

@@ -17,11 +17,11 @@ and the counts are drawn all at once by ``_binomial``: a port of numpy's PCG64
 and of its binomial sampler (inversion, or BTPE) to uint64 and float64
 arrays. It uses libm's ``log`` through ``math.log`` and the inversion start
 ``exp(n * log1p(-p))``, as numpy's C code does, and its counts are bit-identical
-to building each generator with numpy. A pass of fewer than 256 streams, or a
-sample size above 2**62, is drawn by numpy one generator per stream, as is
-every pass if the port differs from numpy on the fixed probes it is checked
-against on first use. Numpy's stream-compatibility policy (NEP 19) fixes the
-hash and the bit generator.
+to building each generator with numpy. Numpy draws one generator per stream
+for a pass of fewer than 256 streams or a sample size above 2**62, for every
+pass if the port differs from numpy on the fixed probes it is checked against
+on first use, and for the few streams the port leaves pending after its rounds.
+Numpy's stream-compatibility policy (NEP 19) fixes the hash and the bit generator.
 
 The plug-in estimator of the normalized CH74 margin is
 
@@ -253,14 +253,16 @@ def _stream_words() -> type:
     return StreamWords
 
 
-def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
-    """(seeds, terms) counts drawn by numpy, one ``Generator`` per stream of ``words``."""
-    stream_words = _stream_words()
-    return np.array([
-        [np.random.Generator(np.random.PCG64(stream_words(row))).binomial(n, q)
-         for row, q in zip(rows, p)]
-        for rows in words
-    ], dtype=np.int64).reshape(words.shape[:2])
+def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Counts drawn by numpy, one ``Generator`` per stream of ``words``.
+
+    ``words`` has shape (..., 4) and ``p`` broadcasts against the streams,
+    ``words.shape[:-1]``: one p per term for a pass, or one per stream.
+    """
+    stream_words, shape = _stream_words(), words.shape[:-1]
+    p = np.broadcast_to(p, shape).ravel().tolist()
+    return np.array([np.random.Generator(np.random.PCG64(stream_words(row))).binomial(n, q)
+                     for row, q in zip(words.reshape(-1, 4), p)], dtype=np.int64).reshape(shape)
 
 
 def _draw(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:

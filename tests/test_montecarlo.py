@@ -327,6 +327,14 @@ def numpy_counts(seeds, n, p):
                      for seed in seeds], dtype=np.int64)
 
 
+def accepting_none(round_):
+    """A sampler round that steps the streams as ``round_`` does but accepts none."""
+    def round(self, streams, g):
+        accepted, _ = round_(self, streams, g)
+        return np.zeros_like(accepted), np.empty(0, dtype=np.int64)
+    return round
+
+
 def edge_probabilities(n):
     """Probabilities at the sampler edges for n: the ends, 1/2, 1e-14 from either
     end, and r * n == 30.0 exactly (inversion) and one ulp above it (BTPE)."""
@@ -402,12 +410,17 @@ class TestBinomialPort:
         np.testing.assert_array_equal(_binomial.binomial(words, n, p), _numpy_counts(words, n, p))
 
     @needs_port
-    @pytest.mark.parametrize("rounds", [0, 1, 2])
-    def test_stragglers_finished_by_numpy(self, monkeypatch, rounds):
-        # Whatever the round a stream is left pending in, numpy finishes it
-        # from its state with the count it would have drawn itself.
+    @pytest.mark.parametrize("rounds, accepting", [(0, True), (1, True), (2, True), (2, False)],
+                             ids=["0", "1", "2", "2-accepting-none"])
+    def test_stragglers_finished_by_numpy(self, monkeypatch, rounds, accepting):
+        # Whatever the round a stream is left pending in, numpy redraws it
+        # from its seed words with the count it would have drawn itself, also
+        # when the rounds stepped every stream and accepted none.
         monkeypatch.setattr(_binomial, "_ROUNDS", rounds)
         monkeypatch.setattr(_binomial, "_STRAGGLERS", 0)
+        if not accepting:
+            for sampler in (_binomial._Inversion, _binomial._Btpe):
+                monkeypatch.setattr(sampler, "round", accepting_none(sampler.round))
         seeds = range(200)
         words = _seed_words(np.array(seeds, dtype=np.uint64))
         for n, p in [(1000, (0.1, 0.3, 0.2, 0.9)), (20, (0.1, 0.3, 0.97, 0.5))]:
@@ -436,8 +449,14 @@ class TestBinomialPort:
         np.testing.assert_array_equal(np.transpose(counts), numpy_counts(seeds, 500, p))
         assert passes == (port_passes if PORT_AGREES else [])
 
-    def test_failing_canary_gives_numpys_bytes(self, monkeypatch, tmp_path):
-        argv = ["mc-bell", "--trials", "1000", "--num-seeds", "300", "--seed-start", "5"]
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "1000", "--num-seeds", "300", "--seed-start", "5"],
+        ["--trials", "20", "--num-seeds", "3000"],
+        ["--trials", "1000", "--num-seeds", "3000", "--seed-start", "18446744073709548616"],
+    ], ids=["btpe-300", "inversion-3000", "btpe-3000-to-2**64-1"])
+    def test_failing_canary_gives_numpys_bytes(self, monkeypatch, tmp_path, argv):
+        # The last two are the 3000-seed runs of CI, which checks only their line counts.
+        argv = ["mc-bell", *argv]
         assert cli.run([*argv, "-o", str(tmp_path / "port.csv")]) == 0
 
         def no_port(*args):
