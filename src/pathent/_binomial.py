@@ -15,9 +15,11 @@ port of numpy's C code to uint64 and float64 arrays:
 
 Bit-identity rests on computing what numpy's C code computes, in its order:
 the inversion start ``exp(n * log1p(-p))`` (with ``log(1 - p)`` hundreds of
-counts in ten thousand differ at n = 1e15, p = 1e-14); libm's ``log`` through
-``math.log`` for every log BTPE takes (``np.log`` may be a SIMD routine whose
-last bit differs from libm on a fraction of a percent of inputs); C's int64
+counts in ten thousand differ at n = 1e15, p = 1e-14); libm's ``log`` for
+every decision BTPE takes from a log (``np.log`` may be a SIMD routine whose
+last bit differs from libm on a fraction of a percent of inputs, so BTPE
+takes its logs from ``np.log`` and recomputes with ``math.log`` each floor or
+comparison that lies within ``_BAND`` of its threshold); C's int64
 wrap-around in ``-k * k``; and the terms ``n + 1 - m`` and ``n - y + 1`` of
 Stirling's bound, which numpy forms in float64, not int64. Each sampler's
 set-up is scalar Python arithmetic per term. n is at most ``2**62``: C's
@@ -96,8 +98,45 @@ def _next_double(streams: np.ndarray) -> np.ndarray:
 def _log(values: np.ndarray) -> np.ndarray:
     """C's ``log`` element by element: libm's value, -inf at 0 and nan below."""
     log, inf, nan = math.log, -math.inf, math.nan
-    return np.array([log(x) if x > 0.0 else inf if x == 0.0 else nan for x in values.tolist()],
-                    dtype=np.float64)
+    return np.array([log(x) if x > 0.0 else inf if x == 0.0 else nan
+                     for x in values.ravel().tolist()], dtype=np.float64).reshape(values.shape)
+
+
+def _fast_log(values: np.ndarray) -> np.ndarray:
+    """numpy's ``log``: -inf at 0 and nan below, as C's, but not always libm's last bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(values)
+
+
+#: Relative distance from a decision within which a value computed from
+#: ``_fast_log`` is recomputed from ``_log``. numpy's float64 log is within 1
+#: ulp of the true log on all 147 rows of its validation set
+#: (umath-validation-set-log.csv) and glibc's within less than 1, so the two
+#: logs differ by at most about 2 ulp, 2**-51 relative. Every later operation
+#: (a product, a quotient, a sum, a floor, a comparison) is monotone and adds
+#: at most an ulp of its result, so two values computed from either log lie
+#: within a few ulp of the sum of their terms' magnitudes, and they can fall
+#: on two sides of an integer or a threshold only within that distance of it.
+#: The band is 2**21 times 2**-51.
+_BAND = 2.0**-30
+
+
+def _near(value: np.ndarray, threshold: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Where ``value`` lies within ``_BAND * scale`` of ``threshold``."""
+    return np.abs(value - threshold) <= _BAND * scale
+
+
+def _tail_floor(base: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``floor(base + log(v) / lam)`` as int64, libm's log wherever numpy's could move it.
+
+    Redone with ``_log`` when the value lies within ``_BAND * (|base| + |s| + 1)``
+    of an integer, ``s = log(v) / lam``.
+    """
+    s = _fast_log(v) / lam
+    value = base + s
+    near = _near(value, np.rint(value), np.abs(base) + np.abs(s) + 1.0)
+    value[near] = base[near] + _log(v[near]) / lam[near]
+    return np.floor(value).astype(np.int64)
 
 
 # The samplers. Each holds its set-up for a few terms as arrays along those
@@ -220,7 +259,7 @@ class _Btpe:
         # Steps 30 and 40, the tails, reject v == 0: its log has no floor.
         left = np.flatnonzero((u > p2) & (u <= p3) & (v > 0.0))
         laml = self.laml[g[left]]
-        yt = np.floor(xl[left] + _log(v[left]) / laml).astype(np.int64)
+        yt = _tail_floor(xl[left], v[left], laml)
         vt = v[left] * (u[left] - p2[left]) * laml
         keep = yt >= 0
         left = left[keep]
@@ -228,7 +267,8 @@ class _Btpe:
         tested.append(left)
         right = np.flatnonzero((u > p3) & (v > 0.0))
         lamr = self.lamr[g[right]]
-        yt = np.floor(self.xr[g[right]] - _log(v[right]) / lamr).astype(np.int64)
+        # C's xr - log(v) / lamr: x - y / l and x + y / -l are the same IEEE value.
+        yt = _tail_floor(self.xr[g[right]], v[right], -lamr)
         vt = v[right] * (u[right] - p3[right]) * lamr
         keep = yt <= self.n
         right = right[keep]
@@ -250,11 +290,15 @@ class _Btpe:
         nrq, kf = self.nrq[g], k.astype(np.float64)
         rho = (kf / nrq) * ((kf * (kf / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
         t = (-k * k).astype(np.float64) / (2 * nrq)  # int64 product, wrapping as in C
-        big_a = _log(v)
+        lower, upper = t - rho, t + rho
+        big_a = _fast_log(v)
+        near = (_near(big_a, lower, np.abs(big_a) + np.abs(lower))
+                | _near(big_a, upper, np.abs(big_a) + np.abs(upper)))
+        big_a[near] = _log(v[near])
         # C's comparisons as written: a nan A (v < 0) is neither accepted nor
         # rejected here, passes Stirling's bound below and is accepted.
-        accepted = big_a < t - rho
-        undecided = np.flatnonzero(~accepted & ~(big_a > t + rho))
+        accepted = big_a < lower
+        undecided = np.flatnonzero(~accepted & ~(big_a > upper))
         n, yu, gu = self.n, y[undecided], g[undecided]
         m, r, q = self.m[gu], self.r[gu], self.q[gu]
         # numpy forms these four in float64 from n, m and y, not in int64:
@@ -262,11 +306,20 @@ class _Btpe:
         yf, mf = yu.astype(np.float64), m.astype(np.float64)
         x1, f1 = yf + 1.0, mf + 1.0
         z, w = float(n) + 1.0 - mf, float(n) - yf + 1.0
-        bound = (self.xm[gu] * _log(f1 / x1)
-                 + ((n - m).astype(np.float64) + 0.5) * _log(z / w)
-                 + (yu - m).astype(np.float64) * _log(w * r / (x1 * q))
-                 + _stirling(f1) + _stirling(z) + _stirling(x1) + _stirling(w))
-        accepted[undecided] = ~(big_a[undecided] > bound)
+        # Stirling's bound is the sum, left to right, of three logs times
+        # their coefficients and four correction terms.
+        args = np.stack([f1 / x1, z / w, w * r / (x1 * q)])
+        coefs = np.stack([self.xm[gu], (n - m).astype(np.float64) + 0.5,
+                          (yu - m).astype(np.float64)])
+        terms = np.concatenate([coefs * _fast_log(args), [_stirling(x) for x in (f1, z, x1, w)]])
+        bound = functools.reduce(np.add, terms)
+        a = big_a[undecided]
+        near = _near(a, bound, np.abs(a) + np.abs(terms).sum(axis=0))
+        # There A and all three logs come from libm.
+        a[near] = _log(v[undecided[near]])
+        terms[:3, near] = coefs[:, near] * _log(args[:, near])
+        bound[near] = functools.reduce(np.add, terms[:, near])
+        accepted[undecided] = ~(a > bound)
         return accepted
 
 

@@ -11,16 +11,18 @@ Every (seed, setting pair) draws from its own substream, numpy's
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(term_index,)))``, so
 counts depend only on (seed, trials, settings) and never on evaluation order
 or on the other seeds of a run. A run takes one seed or a sequence of them,
-drawn in passes of about 2**12 streams (1024 seeds times the four terms). In
-each pass the ``SeedSequence`` hash is evaluated as uint32 array arithmetic,
-and the counts are drawn all at once by ``_binomial``: a port of numpy's PCG64
-and of its binomial sampler (inversion, or BTPE) to uint64 and float64
-arrays. It uses libm's ``log`` through ``math.log`` and the inversion start
-``exp(n * log1p(-p))``, as numpy's C code does, and its counts are bit-identical
-to building each generator with numpy. Numpy draws one generator per stream
-for a pass of fewer than 256 streams or a sample size above 2**62, for every
-pass if the port differs from numpy on the fixed probes it is checked against
-on first use, and for the few streams the port leaves pending after its rounds.
+drawn in passes of 2**14 streams (4096 seeds times the four terms). In each
+pass the ``SeedSequence`` hash is evaluated as uint32 array arithmetic, and
+the counts are drawn all at once by ``_binomial``: a port of numpy's PCG64 and
+of its binomial sampler (inversion, or BTPE) to uint64 and float64 arrays. It
+takes BTPE's logs from ``np.log`` and recomputes with libm's ``log`` every
+decision that lies within a guard band of its threshold, and it starts
+inversion from ``exp(n * log1p(-p))``, as numpy's C code does, so its counts
+are bit-identical to building each generator with numpy. Numpy draws one
+generator per stream for a pass of fewer than 256 streams or a sample size
+above 2**62, for every pass if the port differs from numpy on the fixed probes
+it is checked against on first use, and for the few streams the port leaves
+pending after its rounds.
 Numpy's stream-compatibility policy (NEP 19) fixes the hash and the bit generator.
 
 The plug-in estimator of the normalized CH74 margin is
@@ -52,9 +54,9 @@ _MAX_RANGE = np.iinfo(np.intp).max // 8
 #: Largest sample size numpy's binomial sampler takes (a signed 64-bit integer).
 _MAX_TRIALS = 2**63 - 1
 _TERMS = 4
-#: Seeds hashed and drawn per pass of simulate_counts: about 2**12 streams,
-#: which bounds the working set whatever the number of seeds.
-_PASS_SEEDS = 2**12 // _TERMS
+#: Seeds hashed and drawn per pass of simulate_counts: 2**14 streams, which
+#: bounds the working set whatever the number of seeds.
+_PASS_SEEDS = 2**14 // _TERMS
 #: A pass of fewer streams, or a sample size above 2**62, is drawn by numpy
 #: one stream at a time instead of by the vectorised port.
 _PORT_STREAMS = 256
@@ -296,6 +298,18 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     return tuple(_python(count.reshape(cfg.seeds.shape)) for count in counts.T)
 
 
+def _frequencies(count: int | np.ndarray, n: int) -> np.ndarray:
+    """Each ``count / n`` as a float64 array, correctly rounded like Python's ``c / n``.
+
+    Up to 2**53 both operands are exact float64 values, and an IEEE division
+    rounds their quotient once. Above it a count or n may not be a float64
+    value, so each quotient is Python's int division, which also rounds once.
+    """
+    if n <= 2**53:
+        return np.asarray(count, dtype=np.float64) / float(n)
+    return np.reshape([c / n for c in np.ravel(count).tolist()], np.shape(count))
+
+
 def estimate_ch(cfg: McConfig) -> McEstimate:
     """Plug-in estimate of the normalized CH74 margin from simulated counts.
 
@@ -304,8 +318,7 @@ def estimate_ch(cfg: McConfig) -> McEstimate:
     counts = simulate_counts(cfg)
     n = int(cfg.trials_per_setting)
     eta2 = star_probability(cfg.settings.eta)
-    # Python int division rounds each c / n once, for any n up to 2**63 - 1.
-    p = [np.reshape([c / n for c in np.ravel(count).tolist()], cfg.seeds.shape) for count in counts]
+    p = [_frequencies(count, n) for count in counts]
     t0, t1, t2, t3 = (q * (1.0 - q) / n for q in p)
     return McEstimate(
         statistic_hat=_python((p[0] - p[1] + p[2] + p[3] - 2.0 * eta2) / eta2),

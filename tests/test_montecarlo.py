@@ -30,6 +30,7 @@ from pathent.montecarlo import (
     McConfig,
     McEstimate,
     _draw,
+    _frequencies,
     _numpy_counts,
     _seed_array,
     _seed_words,
@@ -352,6 +353,15 @@ needs_port = pytest.mark.skipif(
 
 TRIALS = [1, 30, 31, 1000, 10**6, 10**15, 2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1]
 
+#: (n, p per term) whose 4096 streams reach the port's rare branches.
+MANY_STREAM_CASES = [(10**15, (1e-14, 2e-14, 1e-14, 1 - 1e-14)),
+                     (2**62, (0.5, 0.25, 0.75, 0.4)),
+                     (2**53 + 1, (1e-14, 2e-14, 5e-15, 1 - 1e-14)),
+                     (2**62, (1e-17, 2e-17, 1e-16, 1 - 1e-17)),
+                     (1000, (0.1, 0.3, 0.2, 0.4))]
+MANY_STREAM_IDS = ["log1p", "int64-wrap", "float64-above-2**53", "float64-at-2**62", "btpe"]
+MANY_STREAM_SEEDS = np.arange(2**64 - 1024, 2**64, dtype=np.uint64)
+
 
 class TestBinomialPort:
     """The vectorised PCG64 and binomial port against numpy's own generators."""
@@ -394,20 +404,35 @@ class TestBinomialPort:
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
 
     @needs_port
-    @pytest.mark.parametrize("n,p", [(10**15, (1e-14, 2e-14, 1e-14, 1 - 1e-14)),
-                                     (2**62, (0.5, 0.25, 0.75, 0.4)),
-                                     (2**53 + 1, (1e-14, 2e-14, 5e-15, 1 - 1e-14)),
-                                     (2**62, (1e-17, 2e-17, 1e-16, 1 - 1e-17)),
-                                     (1000, (0.1, 0.3, 0.2, 0.4))],
-                             ids=["log1p", "int64-wrap", "float64-above-2**53",
-                                  "float64-at-2**62", "btpe"])
+    @pytest.mark.parametrize("n,p", MANY_STREAM_CASES, ids=MANY_STREAM_IDS)
     def test_many_streams_equal_numpy(self, n, p):
         # Rare branches, each seen in a few of these 4096 streams:
         # exp(n * log1p(-p)) at n = 1e15, the wrapped int64 -k * k of BTPE's
         # squeeze at n = 2**62, and Stirling's bound, whose n + 1 - m and
         # n - y + 1 numpy forms in float64, at n above 2**53 and n * p ~ 100.
-        words = _seed_words(np.arange(2**64 - 1024, 2**64, dtype=np.uint64))
+        words = _seed_words(MANY_STREAM_SEEDS)
         np.testing.assert_array_equal(_binomial.binomial(words, n, p), _numpy_counts(words, n, p))
+
+    @needs_port
+    @pytest.mark.parametrize("error, band", [(2.0**-12, 2.0**-10), (2.0**-8, 2.0**-6)],
+                             ids=["2**-12", "2**-8"])
+    def test_guard_band_absorbs_a_perturbed_log(self, monkeypatch, error, band):
+        # A fast log off by a relative error far above numpy's draws numpy's
+        # counts once the band covers that error: every decision it could
+        # move is redone with libm's log. Without the band some draws differ.
+        # At 2**-12 only the tails' floors move; at 2**-8 the squeeze and
+        # Stirling's bound (both A and the bound's logs) move too.
+        fast_log = _binomial._fast_log
+        monkeypatch.setattr(_binomial, "_fast_log", lambda v: fast_log(v) * (1.0 - error))
+        words = _seed_words(MANY_STREAM_SEEDS)
+        cases = [*MANY_STREAM_CASES, (10**6, (0.5, 0.3, 0.05, 0.9)), (10**4, (0.5, 0.3, 0.05, 0.9))]
+        expected = [_numpy_counts(words, n, p) for n, p in cases]
+        monkeypatch.setattr(_binomial, "_BAND", band)
+        for (n, p), counts in zip(cases, expected):
+            np.testing.assert_array_equal(_binomial.binomial(words, n, p), counts)
+        monkeypatch.setattr(_binomial, "_BAND", 0.0)
+        assert any(not np.array_equal(_binomial.binomial(words, n, p), counts)
+                   for (n, p), counts in zip(cases, expected))
 
     @needs_port
     @pytest.mark.parametrize("rounds, accepting", [(0, True), (1, True), (2, True), (2, False)],
@@ -453,9 +478,11 @@ class TestBinomialPort:
         ["--trials", "1000", "--num-seeds", "300", "--seed-start", "5"],
         ["--trials", "20", "--num-seeds", "3000"],
         ["--trials", "1000", "--num-seeds", "3000", "--seed-start", "18446744073709548616"],
-    ], ids=["btpe-300", "inversion-3000", "btpe-3000-to-2**64-1"])
+        ["--trials", "1000", "--num-seeds", "9000"],
+    ], ids=["btpe-300", "inversion-3000", "btpe-3000-to-2**64-1", "btpe-9000"])
     def test_failing_canary_gives_numpys_bytes(self, monkeypatch, tmp_path, argv):
-        # The last two are the 3000-seed runs of CI, which checks only their line counts.
+        # The 3000-seed runs are CI's, which checks only their line counts;
+        # 9000 seeds take three passes, the last one partial.
         argv = ["mc-bell", *argv]
         assert cli.run([*argv, "-o", str(tmp_path / "port.csv")]) == 0
 
@@ -535,6 +562,16 @@ class TestEstimateCh:
         assert estimate.statistic_hat == (p[0] - p[1] + p[2] + p[3] - 2.0 * eta2) / eta2
         t0, t1, t2, t3 = (q * (1.0 - q) / n for q in p)
         assert estimate.std_error == math.sqrt(t0 + t1 + t2 + t3) / eta2
+
+    @pytest.mark.parametrize("n", [1, 1000, 2**53, 2**53 + 1, 2**63 - 1],
+                             ids=["array-1", "array-1000", "array-2**53", "int-2**53+1",
+                                  "int-2**63-1"])
+    def test_frequencies_are_pythons_quotients(self, n):
+        # Up to 2**53 an array division, above it Python's int division:
+        # float(n) is no longer n there, and 2**53 / (2**53 + 1) is not 1.0.
+        counts = np.array([0, 1, n - 1, n], dtype=np.int64)
+        assert _frequencies(counts, n).tolist() == [c / n for c in counts.tolist()]
+        assert _frequencies(int(counts[2]), n).tolist() == counts[2].item() / n
 
     def test_error_shrinks_with_sample_size(self):
         # Median absolute error over 20 seeds must decrease along the ladder.
