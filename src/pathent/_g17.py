@@ -7,7 +7,11 @@ the text. ``format_rows`` builds whole CSV rows from such words.
 
 The kernel renders a value whose magnitude lies in about [1e-11, 2e15]. The
 others (zero, subnormals, inf, nan, and values near the ends of that range)
-are rendered by one ``%`` operation for all of them.
+are rendered by one ``%`` operation for all of them. ``format_rows`` also
+renders two other fields as words: a ``%d`` column that is a step-1 range
+inside [0, 2**64) (seeds) from 8-digit groups, its leading zeros NUL, and a
+``%s`` column that is a numpy string array of ASCII text from its code
+points. Any other field goes through ``%``.
 
 The digits are exact. A double is ``m * 2**e`` with an integer ``m`` below
 ``2**53``; with ``X = floor(log10|v|)`` and ``k = 16 - X`` in 0..27,
@@ -29,6 +33,7 @@ _WORD = np.dtype("<u8")
 _U64 = np.uint64
 _ONE = _U64(1)
 _LOW32 = _U64(0xFFFFFFFF)
+_E8 = _U64(10**8)
 _E16 = _U64(10**16)
 _E17 = _U64(10**17)
 _POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
@@ -81,11 +86,58 @@ _POINTS, _LEADS, _EXPONENTS = _by_exponent()
 _MASKS = _masks()
 
 
+def _digit_bytes(values: np.ndarray, lanes: np.ndarray) -> None:
+    """Each of ``values`` (uint64 below 10**8) becomes its eight digits, in place.
+
+    The digits take one byte each, the first digit lowest, as values 0..9. The
+    word is split in lanes: 4 + 4 digits, then 2 + 2 + 2 + 2, then 1 each.
+    Times 5243 then down 19 bits divides a lane below 10**4 by 100; times 103
+    then down 10 bits divides one below 100 by 10. ``lanes`` is scratch of the
+    same shape.
+    """
+    np.floor_divide(values, _U64(10**4), out=lanes)
+    values -= lanes * _U64(10**4)
+    values <<= _U64(32)
+    values |= lanes
+    np.multiply(values, _U64(5243), out=lanes)
+    lanes >>= _U64(19)
+    lanes &= _U64(0x0000007F0000007F)
+    values -= lanes * _U64(100)
+    values <<= _U64(16)
+    values |= lanes
+    np.multiply(values, _U64(103), out=lanes)
+    lanes >>= _U64(10)
+    lanes &= _U64(0x000F000F000F000F)
+    values -= lanes * _U64(10)
+    values <<= _U64(8)
+    values |= lanes
+
+
+#: 10**1 .. 10**19: an integer below 2**64 has one digit more than the powers it reaches.
+_TENS = np.array([10**d for d in range(1, 20)], dtype=np.uint64)
+
+
+def _leading() -> np.ndarray:
+    """``[w, d - 1]``: the bytes of word w that a d-digit integer shows.
+
+    The integer's 20 digit bytes, right-aligned in three words (24 bytes),
+    keep the last d; the leading zeros before them become NULs.
+    """
+    masks = np.zeros((3, 20), dtype=_WORD)
+    for d in range(1, 21):
+        shown = sum(0xFF << 8 * i for i in range(24 - d, 24))
+        masks[:, d - 1] = [shown >> 64 * w & 2**64 - 1 for w in range(3)]
+    return masks
+
+
+_LEADING = _leading()
+
+
 def _percent_words(spec: str, column: Sequence) -> np.ndarray:
     """``(w, n)`` words: ``spec % value`` for each of the n values of ``column``, NUL padded."""
     values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     text = "\0".join([spec] * len(values)) % tuple(values)
-    fields = np.array(text.encode("ascii").split(b"\0"))
+    fields = np.array(text.encode("utf-8").split(b"\0"))
     fields = fields.astype(f"S{-(-fields.itemsize // 8) * 8}")
     return fields.view(_WORD).reshape(len(values), -1).T
 
@@ -101,12 +153,14 @@ def render(x: np.ndarray) -> np.ndarray:
     np.subtract(16.0, k, out=k)
     ok = (k >= 0.0) & (k <= 27.0)  # False for zero, inf and nan
     k[~ok] = 0.0
-    k = k.astype(np.uint64)
+    # Indices are int64 (intp on 64-bit hosts, so np.take converts none) and
+    # viewed as uint64 for arithmetic.
+    k = k.astype(np.int64)
     # |v| * 10**k = m * 5**k / 2**shift, shift = 1075 - biased exponent - k.
     shift = bits >> _U64(52)
     shift &= _U64(0x7FF)
     np.subtract(_U64(1075), shift, out=shift)
-    shift -= k
+    shift -= k.view(np.uint64)
     ok &= shift - _ONE <= _U64(62)  # 1 <= shift <= 63; below 1 it wraps
     shift[~ok] = _ONE
 
@@ -144,41 +198,23 @@ def render(x: np.ndarray) -> np.ndarray:
     del high, low, cross, mask, shift
     rolled = q == _E17
     q[rolled] = _E16
-    row = _U64(16 - _X_MIN) - k  # X - _X_MIN
+    row = _U64(16 - _X_MIN) - k.view(np.uint64)  # X - _X_MIN
     row += rolled
     row[~ok] = 0
-    row = row.astype(np.intp)
+    row = row.view(np.int64)
     del k, rolled
 
-    # q is d0 * 10**16 plus two halves of eight digits. Each half becomes
-    # eight digit bytes at once, first digit lowest, split in lanes of its
-    # word: 4 + 4 digits, then 2 + 2 + 2 + 2, then 1 each. Times 5243 then
-    # down 19 bits divides a lane below 10**4 by 100; times 103 then down 10
-    # bits divides one below 100 by 10. Words 1..3 of the output serve as
-    # scratch until they take the mantissa.
+    # q is d0 * 10**16 plus two halves of eight digits, each of which
+    # becomes eight digit bytes. Words 1..3 of the output serve as scratch
+    # until they take the mantissa.
     out = np.empty((4, x.size), dtype=_WORD)
     halves, lanes = np.empty((2, x.size), dtype=np.uint64), out[2:]
-    np.floor_divide(q, _U64(10**8), out=halves[0])
-    np.subtract(q, halves[0] * _U64(10**8), out=halves[1])
+    np.floor_divide(q, _E8, out=halves[0])
+    np.subtract(q, halves[0] * _E8, out=halves[1])
     del q
-    d0 = np.floor_divide(halves[0], _U64(10**8), out=out[1])
-    halves[0] -= d0 * _U64(10**8)
-    np.floor_divide(halves, _U64(10**4), out=lanes)
-    halves -= lanes * _U64(10**4)
-    halves <<= _U64(32)
-    halves |= lanes
-    np.multiply(halves, _U64(5243), out=lanes)
-    lanes >>= _U64(19)
-    lanes &= _U64(0x0000007F0000007F)
-    halves -= lanes * _U64(100)
-    halves <<= _U64(16)
-    halves |= lanes
-    np.multiply(halves, _U64(103), out=lanes)
-    lanes >>= _U64(10)
-    lanes &= _U64(0x000F000F000F000F)
-    halves -= lanes * _U64(10)
-    halves <<= _U64(8)
-    halves |= lanes
+    d0 = np.floor_divide(halves[0], _E8, out=out[1])
+    halves[0] -= d0 * _E8
+    _digit_bytes(halves, lanes)
     # Digits up to the last nonzero one in each half: a byte b <= 9 is
     # nonzero when b + 0x7F sets its top bit; that bit is copied to every
     # byte below it, and the bytes holding it are counted.
@@ -194,6 +230,7 @@ def render(x: np.ndarray) -> np.ndarray:
     index *= lanes[1] != 0
     np.maximum(index, lanes[0] + _ONE, out=index)
     index += np.take(_POINTS, row)
+    index = index.view(np.int64)
     halves |= _U64(0x3030303030303030)
 
     # The mantissa: d0 and the digits, one byte each; then the point goes in
@@ -235,14 +272,55 @@ def _words(text: str) -> list[int]:
     return [_word(data[i:i + 8]) for i in range(0, len(data), 8)]
 
 
+def _range_words(seeds: range) -> np.ndarray:
+    """``(w, n)`` words: ``'%d' % s`` for each s of a step-1 range inside [0, 2**64).
+
+    Each integer is cut into groups of eight digits, right-aligned in w
+    words, its leading zeros NUL.
+    """
+    groups = -(-len(str(seeds[-1])) // 8)
+    values = np.arange(len(seeds), dtype=np.uint64)
+    values += _U64(seeds.start)
+    digits = np.searchsorted(_TENS, values, side="right")  # the digit count less one
+    words = np.empty((groups, len(seeds)), dtype=_WORD)
+    rest = values
+    for w in range(groups - 1, 0, -1):
+        above = rest // _E8
+        np.subtract(rest, above * _E8, out=words[w])
+        rest = above
+    words[0] = rest
+    _digit_bytes(words, np.empty_like(words))
+    words |= _U64(0x3030303030303030)
+    for w, word in enumerate(words, start=3 - groups):
+        word &= np.take(_LEADING[w], digits)
+    return words
+
+
+def _field_words(spec: str, column: Sequence) -> np.ndarray:
+    """``(w, n)`` words for a field other than ``%.17g``, by ``%`` unless a kernel applies."""
+    if (spec == "%d" and isinstance(column, range) and column and column.step == 1
+            and column.start >= 0 and column.stop <= 2**64):
+        return _range_words(column)
+    if (spec == "%s" and isinstance(column, np.ndarray) and column.dtype.kind == "U"
+            and column.dtype.isnative):
+        codes = np.ascontiguousarray(column).view(np.uint32).reshape(column.size, -1)
+        if codes.max(initial=0) < 128:
+            text = np.zeros((column.size, -(-codes.shape[1] // 8) * 8), dtype=np.uint8)
+            text[:, :codes.shape[1]] = codes
+            return text.view(_WORD).T
+    return _percent_words(spec, column)
+
+
 def format_rows(row_format: str, columns: Sequence) -> str:
     """``row_format * n % rows`` for the n rows of ``columns``, byte for byte.
 
     Each row is a run of words: a ``%.17g`` field over float64 values takes
     the four words ``render`` gives, with the first character of the literal
-    text after it in its last byte; any other field is rendered by ``%`` and
-    padded to whole words; literal text takes its own words. The rows'
-    bytes without their NULs are the text. No field or literal may hold a NUL.
+    text after it in its last byte; a ``%d`` range or ``%s`` array that a
+    kernel renders takes its words (``_field_words``); any other field is
+    rendered by ``%`` and padded to whole words; literal text takes its own
+    words. The rows' UTF-8 bytes without their NULs are the text. No field or
+    literal may hold a NUL.
     """
     pieces = _SPEC.split(row_format)
     n = len(columns[0])
@@ -258,7 +336,7 @@ def format_rows(row_format: str, columns: Sequence) -> str:
                 words[-1] |= _U64(ord(literal[0]) << 56)
                 literal = literal[1:]
         else:
-            words.extend(_percent_words(spec, columns[i]))
+            words.extend(_field_words(spec, columns[i]))
         words.extend(_words(literal))
     rows = np.empty((n, len(words)), dtype=_WORD)
     for column, word in enumerate(words):
@@ -268,4 +346,4 @@ def format_rows(row_format: str, columns: Sequence) -> str:
     text = rows.tobytes()
     del rows
     text = text.translate(None, b"\0")
-    return text.decode("ascii")
+    return text.decode("utf-8")

@@ -18,9 +18,11 @@ sets 3. A flag's value may be negative in any float notation
 with LF line endings to --output, or to stdout, formatted and written in
 blocks of 2048 rows, so the text is never held whole. Numbers carry 17
 significant digits (``%.17g``) so every field parses back to the exact
-computed value. A block's floats are rendered by an exact vectorised kernel
-(``_g17``); a block of fewer than 256 rows, and a value outside the kernel's
-range, use Python's ``%``. Diagnostics go to stderr; exit status is 0 on
+computed value. A block's fields are rendered by exact vectorised kernels
+(``_g17``): floats, ``mc-bell``'s seeds (a step-1 range inside [0, 2**64))
+and ``bell-test``'s flags (an ASCII string array). A block of fewer than 256
+rows, a float outside the kernel's range and any other column use Python's
+``%``. Diagnostics go to stderr; exit status is 0 on
 success, 2 for usage errors, 3 for invalid configuration (including an
 unreadable config file and a grid too large to allocate), 4 when the output
 cannot be written.

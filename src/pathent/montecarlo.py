@@ -173,64 +173,76 @@ class McEstimate:
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe) as uint32 array arithmetic. Its
 # hash constants advance by a fixed multiplier on every call, whatever the
-# data, so the whole chain is computed once here, as Python ints.
+# data, so the whole chain is computed once here.
 _MASK32 = 0xFFFF_FFFF
-_XSHIFT = 16
+_XSHIFT = np.uint32(16)
 
 
-def _constant_chain(init: int, mult: int, calls: int) -> tuple[int, ...]:
+def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
     chain = [init]
     for _ in range(calls):
         chain.append(chain[-1] * mult & _MASK32)
-    return tuple(chain)
+    return np.array(chain, dtype=np.uint32)
 
 
 #: mix_entropy hashes 4 pool words, 12 cross-mixes and the spawn key into 4 words.
 _MIX_CONSTANTS = _constant_chain(0x43B0D7E5, 0x931E8875, 4 + 12 + 4)
-#: generate_state(4, uint64) draws 8 uint32 words.
-_STATE_CONSTANTS = _constant_chain(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
+#: generate_state(4, uint64) hashes 8 uint32 words; as [j, i, 1], word 4j + i,
+#: which hashes pool word i.
+_STATE_XOR, _STATE_MULT = (_constant_chain(0x8B51F9DD, 0x58F38DED, 8)[first:first + 8]
+                           .reshape(2, 4, 1) for first in (0, 1))
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
 
 
-def _hashmix(value: np.ndarray, call: int) -> np.ndarray:
-    value = (value ^ _MIX_CONSTANTS[call]) * _MIX_CONSTANTS[call + 1]
-    return value ^ (value >> _XSHIFT)
+def _hashmix(value: np.ndarray, first: int, calls: int) -> np.ndarray:
+    """Hash calls ``first`` to ``first + calls - 1``: row i of the result takes call ``first + i``.
+
+    ``value`` broadcasts against a column of ``calls`` rows.
+    """
+    value = value ^ _MIX_CONSTANTS[first:first + calls, np.newaxis]
+    value *= _MIX_CONSTANTS[first + 1:first + calls + 1, np.newaxis]
+    value ^= value >> _XSHIFT
+    return value
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> _XSHIFT)
+    result ^= result >> _XSHIFT
+    return result
+
+
+#: The spawn key's hashes as [term, pool word, 1]: the same for every seed.
+_TERM_HASHES = _hashmix(np.arange(_TERMS, dtype=np.uint32), 16, 4).T[:, :, np.newaxis]
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, uint64)``.
 
-    Returns shape (seeds, terms, 4). With a spawn key, numpy pads the entropy
-    of every seed below 2**64 to the same five words ``[lo, hi, 0, 0, t]``, so
-    the first two mixing stages depend on the seed alone and only the last one
-    on the term.
+    Returns a C-contiguous array of shape (seeds, terms, 4): numpy's PCG64
+    reads each stream's four words raw from its buffer. With a spawn key,
+    numpy pads the entropy of every seed below 2**64 to the same five words
+    ``[lo, hi, 0, 0, t]``, so the first two mixing stages depend on the seed
+    alone and only the last one on the term. Every operation runs along the
+    seeds: on the interleaved result, with rows of 4 or 8 words, numpy would
+    spend its time in loop overhead.
     """
-    lo = (seeds & _MASK32).astype(np.uint32)
-    zero = np.zeros_like(lo)
-    pool = [_hashmix(word, call) for call, word in enumerate(
-        (lo, (seeds >> 32).astype(np.uint32), zero, zero))]
-    call = len(pool)
-    for src in range(len(pool)):
-        for dst in range(len(pool)):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
-                call += 1
-    terms = np.arange(_TERMS, dtype=np.uint32)
-    pool = [_mix(word[:, np.newaxis], _hashmix(terms, call + dst)) for dst, word in enumerate(pool)]
-
-    def state_word(i: int) -> np.ndarray:
-        word = (pool[i % len(pool)] ^ _STATE_CONSTANTS[i]) * _STATE_CONSTANTS[i + 1]
-        return (word ^ (word >> _XSHIFT)).astype(np.uint64)
-
-    # Little-endian pairs of uint32 words make the uint64 words.
-    return np.stack([state_word(i) | state_word(i + 1) << 32 for i in range(0, 2 * len(pool), 2)],
-                    axis=-1)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, 0, 4)  # the entropy words [lo, hi, 0, 0]
+    # Each pool word is hashed three times in a row, once into each other word.
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 3))
+    # Little-endian pairs of the eight state words make the four uint64 words.
+    words = np.empty((seeds.size, _TERMS, 8), dtype="<u4")
+    for term, mixed in enumerate(_mix(pool, _TERM_HASHES)):
+        state = mixed ^ _STATE_XOR
+        state *= _STATE_MULT
+        state ^= state >> _XSHIFT
+        words[:, term] = state.reshape(8, -1).T
+    return words.view("<u8")
 
 
 @functools.cache

@@ -247,6 +247,19 @@ class TestBatchedSeeding:
                     words[row, term_index], sequence.generate_state(4, np.uint64), strict=True)
                 assert counts[term_index][row] == numpy_term_rng(seed, term_index).binomial(n, p)
 
+    @pytest.mark.parametrize("seeds", [range(20), range(10**9, 10**9 + 3000),
+                                       range(2**64 - 3000, 2**64)],
+                             ids=["20", "3000", "3000-to-2**64-1"])
+    def test_words_equal_seed_sequences(self, seeds):
+        # numpy's PCG64 reads each stream's four words raw from the buffer,
+        # so a strided result would seed other streams without any error.
+        words = _seed_words(np.arange(seeds.start, seeds.stop, dtype=np.uint64))
+        assert words.shape == (len(seeds), 4, 4) and words.dtype == np.uint64
+        assert words.flags.c_contiguous
+        expected = [[np.random.SeedSequence(entropy=seed, spawn_key=(t,))
+                     .generate_state(4, np.uint64) for t in range(4)] for seed in seeds]
+        np.testing.assert_array_equal(words, expected)
+
     def test_blocks_of_seeds_match_one_seed_at_a_time(self):
         # 600 seeds span three blocks; each row equals its one-seed run.
         seeds = range(2**64 - 600, 2**64)
@@ -496,11 +509,13 @@ class TestBinomialPort:
 
     def test_working_memory_is_flat_in_seeds(self):
         # The counts themselves grow with the seeds; the memory on top of
-        # them is one pass's, whatever the number of seeds.
+        # them is one pass's, whatever the number of seeds. Both sizes take
+        # several passes.
         settings = bell_angle_settings(Visibility(v=0.9))
         simulate_counts(McConfig(seed=range(300), trials_per_setting=1000, settings=settings))
         extra = []
-        for num_seeds in (3_000, 30_000):
+        for num_seeds in (10_000, 100_000):
+            assert num_seeds > 2 * _PASS_SEEDS
             cfg = McConfig(seed=range(num_seeds), trials_per_setting=1000, settings=settings)
             tracemalloc.start()
             try:
