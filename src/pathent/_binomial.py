@@ -343,10 +343,13 @@ def _samplers(n: int, r: tuple[float, ...]) -> list[tuple[_Inversion | _Btpe, li
             for kind, terms in ((_Inversion, inversion), (_Btpe, btpe)) if terms]
 
 
-def binomial(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
+def binomial(words: np.ndarray, n: int, p: Sequence[float],
+             stragglers: int = _STRAGGLERS) -> np.ndarray:
     """numpy's (seeds, terms) counts for (seeds, terms, 4) seed words, p per term.
 
-    ``n`` is a Python int in [1, 2**62].
+    ``n`` is a Python int in [1, 2**62]. Numpy draws a sampler's streams
+    once no more than ``stragglers`` of them are pending, before the first
+    round too; at 0 the port's rounds run on every stream.
     """
     p = np.asarray(p, dtype=np.float64)
     flip = p > 0.5
@@ -355,11 +358,13 @@ def binomial(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
     for sampler, terms in _samplers(n, tuple(r.tolist())):
         g = np.tile(np.arange(len(terms)), len(words))
         streams = words if len(terms) == len(p) else words[:, terms]  # no copy for all terms
-        counts[:, terms] = _rounds(sampler, streams.reshape(-1, 4), g).reshape(-1, len(terms))
+        counts[:, terms] = _rounds(sampler, streams.reshape(-1, 4), g,
+                                   stragglers).reshape(-1, len(terms))
     return np.where(flip, n - counts, counts)
 
 
-def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray,
+            stragglers: int) -> np.ndarray:
     """Masked rounds over the pending streams, then numpy redraws the stragglers."""
     from .montecarlo import _numpy_counts
 
@@ -367,7 +372,7 @@ def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray) -> np
     streams = _seeded(words)
     pending = np.arange(len(words))
     for _ in range(_ROUNDS):
-        if pending.size <= _STRAGGLERS:
+        if pending.size <= stragglers:
             break
         accepted, drawn = sampler.round(streams, g)
         counts[pending[accepted]] = drawn
@@ -383,6 +388,9 @@ def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray) -> np
 #: differ), and BTPE at sizes whose draws reach its tails and Stirling's bound.
 #: The last two start where a draw takes Stirling's bound above 2**53 (where
 #: its float64 terms differ from int64 ones) and where C's -k * k wraps.
+#: A probe's sampler groups hold at most 128 streams, no more than
+#: ``_STRAGGLERS``, so the probes draw with a cutoff of 0: numpy alone would
+#: draw them otherwise, and the check would compare numpy with itself.
 _PROBES = ((10**15, (1e-14, 2e-14), 0), (20, (0.2, 0.93, 0.0, 1.0), 0),
            (1000, (0.3, 0.75, 0.05), 0), (10**6, (0.5,), 0),
            (2**53 + 1, (0.25, 1e-14), 512), (2**62, (0.5, 1e-17), 1024))
@@ -397,6 +405,6 @@ def port_agrees() -> bool:
     for n, p, first in _PROBES:
         words = np.arange(first, first + _PROBE_SEEDS * len(p) * 4, dtype=np.uint64)
         words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4)
-        if not np.array_equal(binomial(words, n, p), _numpy_counts(words, n, p)):
+        if not np.array_equal(binomial(words, n, p, stragglers=0), _numpy_counts(words, n, p)):
             return False
     return True

@@ -21,6 +21,15 @@ from pathent import _g17, cli
 _ROWS = (cli._KERNEL_ROWS - 1, cli._KERNEL_ROWS, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1)
 
 
+def assert_same_rows(actual, expected):
+    """``actual == expected``, reporting the first row that differs: pytest's
+    diff of two texts of thousands of rows would take minutes."""
+    actual, expected = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    row = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b), None)
+    assert row is None, f"row {row}: {actual[row]!r} != {expected[row]!r}"
+    assert len(actual) == len(expected), f"{len(actual)} rows != {len(expected)}"
+
+
 def assert_matches_percent(values, rows):
     """Two columns, ``values`` cycled to ``rows`` rows and the same reversed."""
     column = np.resize(np.asarray(values, dtype=np.float64), rows)
@@ -29,7 +38,7 @@ def assert_matches_percent(values, rows):
         cli._write_output(None, "", "%.17g,%.17g\n", [column, column[::-1]])
     expected = "".join("%.17g,%.17g\n" % pair
                        for pair in zip(column.tolist(), column[::-1].tolist()))
-    assert out.getvalue() == expected
+    assert_same_rows(out.getvalue(), expected)
 
 
 def _decimal_ties():
@@ -116,7 +125,7 @@ def assert_fields_match_percent(row_format, columns, kernel):
         cli._write_output(None, "", row_format, columns)
     values = [column.tolist() if isinstance(column, np.ndarray) else list(column)
               for column in columns]
-    assert out.getvalue() == "".join(row_format % row for row in zip(*values))
+    assert_same_rows(out.getvalue(), "".join(row_format % row for row in zip(*values)))
     if len(columns[0]) >= cli._KERNEL_ROWS:
         assert bool(fallbacks) != kernel, fallbacks
 

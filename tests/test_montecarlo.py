@@ -402,12 +402,17 @@ class TestBinomialPort:
     @example([0, 2**64 - 1], 1000, [0.1, 0.3, 0.2, 0.4])
     def test_port_equals_numpy(self, seeds, n, p):
         words = _seed_words(np.array(seeds, dtype=np.uint64))
-        np.testing.assert_array_equal(_binomial.binomial(words, n, p), numpy_counts(seeds, n, p))
+        # At most 32 streams per sampler, fewer than the straggler cutoff:
+        # without a cutoff of 0 numpy would draw them all.
+        np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
+                                      numpy_counts(seeds, n, p))
 
     @pytest.mark.parametrize("n", TRIALS)
     def test_sampler_edges_equal_numpy(self, n):
         # 64 seeds x 4 terms reach the port's cutoff; n = 2**63 - 1 is above
-        # the port's range and drawn by numpy.
+        # the port's range and drawn by numpy. The port runs with its
+        # straggler cutoff and with a cutoff of 0, which takes every sampler
+        # through its rounds.
         seeds = [0, 2**64 - 1, *range(1, _PORT_STREAMS // 4 - 1)]
         words = _seed_words(np.array(seeds, dtype=np.uint64))
         for p in edge_probabilities(n):
@@ -415,6 +420,8 @@ class TestBinomialPort:
             np.testing.assert_array_equal(_draw(words, n, p), expected)
             if n <= 2**62 and PORT_AGREES:
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+                np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
+                                              expected)
 
     @needs_port
     @pytest.mark.parametrize("n,p", MANY_STREAM_CASES, ids=MANY_STREAM_IDS)
@@ -455,15 +462,34 @@ class TestBinomialPort:
         # from its seed words with the count it would have drawn itself, also
         # when the rounds stepped every stream and accepted none.
         monkeypatch.setattr(_binomial, "_ROUNDS", rounds)
-        monkeypatch.setattr(_binomial, "_STRAGGLERS", 0)
         if not accepting:
             for sampler in (_binomial._Inversion, _binomial._Btpe):
                 monkeypatch.setattr(sampler, "round", accepting_none(sampler.round))
         seeds = range(200)
         words = _seed_words(np.array(seeds, dtype=np.uint64))
         for n, p in [(1000, (0.1, 0.3, 0.2, 0.9)), (20, (0.1, 0.3, 0.97, 0.5))]:
-            np.testing.assert_array_equal(_binomial.binomial(words, n, p),
+            np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
                                           numpy_counts(seeds, n, p))
+
+    @needs_port
+    @pytest.mark.parametrize("sampler", ["_Inversion", "_Btpe"])
+    def test_canary_sees_a_changed_sampler(self, monkeypatch, sampler):
+        # A port that no longer draws numpy's counts fails port_agrees, even
+        # though every probe group is small enough to leave to numpy.
+        round_ = getattr(_binomial, sampler).round
+
+        def off_by_one(self, streams, g):
+            accepted, drawn = round_(self, streams, g)
+            return accepted, drawn + 1
+
+        monkeypatch.setattr(getattr(_binomial, sampler), "round", off_by_one)
+        _binomial.port_agrees.cache_clear()
+        try:
+            assert not _binomial.port_agrees()
+        finally:
+            monkeypatch.undo()
+            _binomial.port_agrees.cache_clear()
+        assert _binomial.port_agrees()
 
     @pytest.mark.parametrize(
         "num_seeds, port_passes",
