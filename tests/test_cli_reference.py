@@ -165,11 +165,15 @@ def test_g2_scan_phase_mode(**options):
     points=st.integers(min_value=1, max_value=300),
     e0=e0s, visibility=contrasts, eta=etas,
 )
-@example(  # rows span several CSV formatting blocks
+@example(  # rows span two CSV formatting blocks, both rendered by the kernel
     kd=7.0, xi_start=-1.5, xi_stop=1.5, xi_ref=0.2, points=2500, e0=1.1, visibility=0.9, eta=0.8
 )
 def test_g2_scan_angle_mode(**options):
-    assert_matches_reference("g2-scan", reference_g2_scan, options)
+    # Blocks smaller than the default, so that a grid short enough for the
+    # deadline still spans two of them.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_ROWS", 2048)
+        assert_matches_reference("g2-scan", reference_g2_scan, options)
 
 
 @given(
@@ -182,11 +186,14 @@ def test_bell_test_visibility_range(**options):
 
 # Long ranges outside hypothesis: one of them alone takes about half of its
 # 200 ms deadline.
-@pytest.mark.parametrize("options", [
-    dict(v_start=0.0, v_stop=1.0, v_points=2100, eta=0.9),  # several CSV formatting blocks
-    dict(v_start=0.7, v_stop=0.72, v_points=5000, eta=0.9),  # margins near 0 at v = 1/sqrt(2)
+@pytest.mark.parametrize("options, block_rows", [
+    # A block rendered by the kernel, then a block of 52 rows rendered by %.
+    (dict(v_start=0.0, v_stop=1.0, v_points=2100, eta=0.9), 2048),
+    # Margins near 0 at v = 1/sqrt(2), in blocks of the default size.
+    (dict(v_start=0.7, v_stop=0.72, v_points=5000, eta=0.9), cli._BLOCK_ROWS),
 ], ids=["2100-rows", "5000-rows"])
-def test_bell_test_long_visibility_range(options):
+def test_bell_test_long_visibility_range(monkeypatch, options, block_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     assert_matches_reference("bell-test", reference_bell_test, options)
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 import pathent
-from pathent import _binomial, cli
+from pathent import _binomial, cli, montecarlo
 from pathent.bell import ChSettings, bell_angle_settings, ch_statistic
 from pathent.correlations import (
     Efficiency,
@@ -260,8 +260,10 @@ class TestBatchedSeeding:
                      .generate_state(4, np.uint64) for t in range(4)] for seed in seeds]
         np.testing.assert_array_equal(words, expected)
 
-    def test_blocks_of_seeds_match_one_seed_at_a_time(self):
-        # 600 seeds span three blocks; each row equals its one-seed run.
+    def test_blocks_of_seeds_match_one_seed_at_a_time(self, monkeypatch):
+        # 600 seeds span passes of 256, 256 and 88 seeds; each row equals
+        # its one-seed run.
+        monkeypatch.setattr(montecarlo, "_PASS_SEEDS", 256)
         seeds = range(2**64 - 600, 2**64)
         settings = bell_angle_settings(Visibility(v=0.8))
         batched = estimate_ch(McConfig(seed=seeds, trials_per_setting=500, settings=settings))
