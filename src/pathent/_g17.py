@@ -3,15 +3,14 @@
 ``render(x)`` gives four little-endian uint64 words per value of ``x``.
 Their 32 bytes hold the text ``'%.17g' % v`` with NUL bytes between and
 after its parts, and the last byte is always NUL: dropping the NULs leaves
-the text. ``format_rows`` builds whole CSV rows from such words.
+the text. ``format_rows`` builds whole CSV rows from such words, one column
+kind at a time: float64 arrays by ``render``, uint64 arrays as ``'%d' % v``
+from 8-digit groups with their leading zeros NUL, bool arrays as one
+``true`` or ``false`` word each, and a ``str`` as constant text.
 
 The kernel renders a value whose magnitude lies in about [1e-11, 2e15]. The
 others (zero, subnormals, inf, nan, and values near the ends of that range)
-are rendered by one ``%`` operation for all of them. ``format_rows`` also
-renders two other fields as words: a ``%d`` column that is a step-1 range
-inside [0, 2**64) (seeds) from 8-digit groups, its leading zeros NUL, and a
-``%s`` column that is a numpy string array of ASCII text from its code
-points. Any other field goes through ``%``.
+are rendered by one ``%`` operation for all of them.
 
 The digits are exact. A double is ``m * 2**e`` with an integer ``m`` below
 ``2**53``; with ``X = floor(log10|v|)`` and ``k = 16 - X`` in 0..27,
@@ -24,7 +23,6 @@ under numpy 1.x a uint64 mixed with a signed integer silently becomes float64.
 
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 import numpy as np
@@ -133,13 +131,12 @@ def _leading() -> np.ndarray:
 _LEADING = _leading()
 
 
-def _percent_words(spec: str, column: Sequence) -> np.ndarray:
-    """``(w, n)`` words: ``spec % value`` for each of the n values of ``column``, NUL padded."""
-    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    text = "\0".join([spec] * len(values)) % tuple(values)
+def _percent_words(values: np.ndarray) -> np.ndarray:
+    """``(w, n)`` words: ``'%.17g' % v`` for each of the n float64 ``values``, NUL padded."""
+    text = "\0".join(["%.17g"] * values.size) % tuple(values.tolist())
     fields = np.array(text.encode("utf-8").split(b"\0"))
     fields = fields.astype(f"S{-(-fields.itemsize // 8) * 8}")
-    return fields.view(_WORD).reshape(len(values), -1).T
+    return fields.view(_WORD).reshape(values.size, -1).T
 
 
 def render(x: np.ndarray) -> np.ndarray:
@@ -257,14 +254,10 @@ def render(x: np.ndarray) -> np.ndarray:
 
     rest = np.flatnonzero(~ok)
     if rest.size:
-        text = _percent_words("%.17g", x[rest])  # at most 24 characters
+        text = _percent_words(x[rest])  # at most 24 characters
         out[:, rest] = 0
         out[:len(text), rest] = text
     return out
-
-
-#: A conversion specifier of a row format; the text between two is literal.
-_SPEC = re.compile(r"(%[^a-z%]*[a-z])")
 
 
 def _words(text: str) -> list[int]:
@@ -272,17 +265,15 @@ def _words(text: str) -> list[int]:
     return [_word(data[i:i + 8]) for i in range(0, len(data), 8)]
 
 
-def _range_words(seeds: range) -> np.ndarray:
-    """``(w, n)`` words: ``'%d' % s`` for each s of a step-1 range inside [0, 2**64).
+def _integer_words(values: np.ndarray) -> np.ndarray:
+    """``(w, n)`` words: ``'%d' % v`` for each v of 1-D uint64 ``values``.
 
     Each integer is cut into groups of eight digits, right-aligned in w
     words, its leading zeros NUL.
     """
-    groups = -(-len(str(seeds[-1])) // 8)
-    values = np.arange(len(seeds), dtype=np.uint64)
-    values += _U64(seeds.start)
     digits = np.searchsorted(_TENS, values, side="right")  # the digit count less one
-    words = np.empty((groups, len(seeds)), dtype=_WORD)
+    groups = -(-(int(digits.max()) + 1) // 8)
+    words = np.empty((groups, values.size), dtype=_WORD)
     rest = values
     for w in range(groups - 1, 0, -1):
         above = rest // _E8
@@ -296,47 +287,47 @@ def _range_words(seeds: range) -> np.ndarray:
     return words
 
 
-def _field_words(spec: str, column: Sequence) -> np.ndarray:
-    """``(w, n)`` words for a field other than ``%.17g``, by ``%`` unless a kernel applies."""
-    if (spec == "%d" and isinstance(column, range) and column and column.step == 1
-            and column.start >= 0 and column.stop <= 2**64):
-        return _range_words(column)
-    if (spec == "%s" and isinstance(column, np.ndarray) and column.dtype.kind == "U"
-            and column.dtype.isnative):
-        codes = np.ascontiguousarray(column).view(np.uint32).reshape(column.size, -1)
-        if codes.max(initial=0) < 128:
-            text = np.zeros((column.size, -(-codes.shape[1] // 8) * 8), dtype=np.uint8)
-            text[:, :codes.shape[1]] = codes
-            return text.view(_WORD).T
-    return _percent_words(spec, column)
+#: A flag's word, indexed by the flag.
+_FLAGS = np.array([_word(b"false"), _word(b"true")], dtype=_WORD)
 
 
-def format_rows(row_format: str, columns: Sequence) -> str:
-    """``row_format * n % rows`` for the n rows of ``columns``, byte for byte.
+def format_rows(columns: Sequence) -> str:
+    """One CSV row per index of ``columns``: fields joined by ``,``, each row ending in ``\\n``.
 
-    Each row is a run of words: a ``%.17g`` field over float64 values takes
-    the four words ``render`` gives, with the first character of the literal
-    text after it in its last byte; a ``%d`` range or ``%s`` array that a
-    kernel renders takes its words (``_field_words``); any other field is
-    rendered by ``%`` and padded to whole words; literal text takes its own
-    words. The rows' UTF-8 bytes without their NULs are the text. No field or
-    literal may hold a NUL.
+    A column's kind picks its field: a float64 array ``'%.17g' % v``, a
+    uint64 array ``'%d' % v``, a bool array ``true`` or ``false``, and a
+    ``str`` is ASCII text, without NULs, that every row repeats. Each row is
+    a run of words: a float takes the four words ``render`` gives and a flag
+    one word, the last byte of either holding the first character of the
+    text after it; an integer takes its words (``_integer_words``); constant
+    text and separators take their own words. The rows' bytes without their
+    NULs are the text.
     """
-    pieces = _SPEC.split(row_format)
-    n = len(columns[0])
-    floats = [i for i, spec in enumerate(pieces[1::2]) if spec == "%.17g"
-              and isinstance(columns[i], np.ndarray) and columns[i].dtype == np.float64]
-    rendered = render(np.concatenate([columns[i] for i in floats])) if floats else None
-    words: list = _words(pieces[0])
-    for i, (spec, literal) in enumerate(zip(pieces[1::2], pieces[2::2])):
-        if i in floats:
-            first = floats.index(i) * n
-            words.extend(rendered[:, first:first + n])
-            if literal:
-                words[-1] |= _U64(ord(literal[0]) << 56)
-                literal = literal[1:]
+    # The arrays, each with the literal text that follows it in a row.
+    arrays, literals = [], [""]
+    for i, column in enumerate(columns):
+        literals[-1] += "," if i else ""
+        if isinstance(column, str):
+            literals[-1] += column
         else:
-            words.extend(_field_words(spec, columns[i]))
+            arrays.append(column)
+            literals.append("")
+    literals[-1] += "\n"
+    floats = [column for column in arrays if column.dtype == np.float64]
+    rendered = render(np.concatenate(floats)) if floats else None
+    n, first = len(arrays[0]), 0
+    words: list = _words(literals[0])
+    for column, literal in zip(arrays, literals[1:]):
+        if column.dtype == np.uint64:
+            words.extend(_integer_words(column))
+        elif column.dtype == np.float64:
+            words.extend(rendered[:, first:first + n])
+            first += n
+        else:
+            words.append(np.take(_FLAGS, column.view(np.uint8)))
+        if literal and column.dtype != np.uint64:  # a float's or a flag's last byte is NUL
+            words[-1] |= _U64(ord(literal[0]) << 56)
+            literal = literal[1:]
         words.extend(_words(literal))
     rows = np.empty((n, len(words)), dtype=_WORD)
     for column, word in enumerate(words):

@@ -16,16 +16,15 @@ comment, so ``output = run#1.csv`` keeps its ``#`` and ``points = 3  # three``
 sets 3. A flag's value may be negative in any float notation
 (``--phi-start -1e-3``, ``--v-start -inf``). Results are written as CSV
 with LF line endings to --output, or to stdout, formatted and written in
-blocks of 4096 rows, so the text is never held whole. Numbers carry 17
-significant digits (``%.17g``) so every field parses back to the exact
-computed value. A block's fields are rendered by exact vectorised kernels
-(``_g17``): floats, ``mc-bell``'s seeds (a step-1 range inside [0, 2**64))
-and ``bell-test``'s flags (an ASCII string array). A block of fewer than 256
-rows, a float outside the kernel's range and any other column use Python's
-``%``. Diagnostics go to stderr; exit status is 0 on
-success, 2 for usage errors, 3 for invalid configuration (including an
-unreadable config file and a grid too large to allocate), 4 when the output
-cannot be written.
+blocks of 4096 rows, so the text is never held whole. A column's kind sets
+its field: a float64 array prints 17 significant digits (``%.17g``), which
+parse back to the exact computed value, a uint64 array integers (seeds), a
+bool array ``true`` or ``false`` (flags), and a ``str`` is a constant field.
+Exact vectorised kernels (``_g17``) render a block; one of fewer than 256
+rows, and a float outside the kernel's range, use Python's ``%``.
+Diagnostics go to stderr; exit status is 0 on success, 2 for usage errors,
+3 for invalid configuration (including an unreadable config file and a grid
+too large to allocate), 4 when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -165,8 +164,9 @@ def _linspace(start: float, stop: float, count: int, axis: str, what: str) -> np
     return np.linspace(start, stop, count)
 
 
-#: A runner's result: header line, ``%`` template of one row, equal-length columns.
-_Table = tuple[str, str, Sequence]
+#: A runner's result: the header line and the columns of the rows, each a
+#: float64, uint64 or bool array (all of one length) or a constant ``str``.
+_Table = tuple[str, Sequence]
 
 
 def _run_g2_scan(cfg: RunConfig) -> _Table:
@@ -186,7 +186,7 @@ def _run_g2_scan(cfg: RunConfig) -> _Table:
         delta = _linspace(cfg.phi_start, cfg.phi_stop, cfg.points, "phi", "points")
     g2 = g2_at_phase(delta, params, vis)
     joint = joint_probability_at_phase(delta, vis, eff)
-    return "delta_phi,g2,joint_probability\n", "%.17g,%.17g,%.17g\n", (delta, g2, joint)
+    return "delta_phi,g2,joint_probability\n", (delta, g2, joint)
 
 
 def _run_bell_test(cfg: RunConfig) -> _Table:
@@ -197,9 +197,8 @@ def _run_bell_test(cfg: RunConfig) -> _Table:
         v = _linspace(cfg.v_start, cfg.v_stop, cfg.v_points, "v", "v_points")
     vis = Visibility(v=v)
     result = ch_statistic(bell_angle_settings(vis, eff))
-    flags = np.where(result.violated, "true", "false")
-    return ("v,statistic,lower_margin,violated\n", "%.17g,%.17g,%.17g,%s\n",
-            (v, result.statistic, result.lower_margin, flags))
+    return ("v,statistic,lower_margin,violated\n",
+            (v, result.statistic, result.lower_margin, result.violated))
 
 
 def _run_mc_bell(cfg: RunConfig) -> _Table:
@@ -207,13 +206,12 @@ def _run_mc_bell(cfg: RunConfig) -> _Table:
     eff = Efficiency(eta=cfg.eta)
     if cfg.num_seeds < 1:
         raise ValueError(f"num_seeds must be >= 1, got {cfg.num_seeds}")
-    seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
-    estimate = estimate_ch(McConfig(
-        seed=seeds, trials_per_setting=cfg.trials, settings=bell_angle_settings(vis, eff)
-    ))
+    mc = McConfig(seed=range(cfg.seed_start, cfg.seed_start + cfg.num_seeds),
+                  trials_per_setting=cfg.trials, settings=bell_angle_settings(vis, eff))
+    estimate = estimate_ch(mc)
     return ("seed,trials,statistic_hat,std_error,sigma_violation\n",
-            f"%d,{estimate.trials},%.17g,%.17g,%.17g\n",
-            (seeds, estimate.statistic_hat, estimate.std_error, estimate.sigma_violation))
+            (mc.seeds, str(estimate.trials), estimate.statistic_hat, estimate.std_error,
+             estimate.sigma_violation))
 
 
 #: Detector pairs evaluated per pass of path-check: each pass takes
@@ -253,7 +251,7 @@ def _run_path_check(cfg: RunConfig) -> _Table:
         deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))
 
     rank = schmidt_rank(postselected_state())
-    return "", "max_abs_deviation=%.17g schmidt_rank=%d\n", ([deviation / scale], [rank])
+    return "max_abs_deviation=%.17g schmidt_rank=%d\n" % (deviation / scale, rank), ()
 
 
 #: Every command: (help, runner, its option keys in --help order). A config
@@ -300,24 +298,32 @@ _BLOCK_ROWS = 4096
 #: Blocks of fewer rows go to ``%`` alone: for them the vectorised
 #: renderer's fixed cost per block outweighs its gain.
 _KERNEL_ROWS = 256
+#: The ``%`` conversion of each array kind, for the blocks ``%`` renders.
+_PERCENT = {np.dtype(np.float64): "%.17g", np.dtype(np.uint64): "%d", np.dtype(bool): "%s"}
 
 
-def _write_output(destination: str | None, head: str, row_format: str, columns: Sequence) -> None:
-    """Write ``head``, then ``row_format`` filled by each row of ``columns``."""
+def _write_output(destination: str | None, head: str, columns: Sequence) -> None:
+    """Write ``head``, then the CSV rows of ``columns`` (``_Table``), block by block."""
+    arrays = [column for column in columns if not isinstance(column, str)]
+    row_format = ",".join(column.replace("%", "%%") if isinstance(column, str)
+                          else _PERCENT[column.dtype] for column in columns) + "\n"
     sink = (contextlib.nullcontext(sys.stdout) if destination is None
             else open(destination, "w", newline="\n"))
     with sink as handle:
         handle.write(head)
-        for first in range(0, len(columns[0]), _BLOCK_ROWS):
-            parts = [column[first:first + _BLOCK_ROWS] for column in columns]
-            if len(parts[0]) >= _KERNEL_ROWS:
+        for first in range(0, len(arrays[0]) if arrays else 0, _BLOCK_ROWS):
+            block = [column if isinstance(column, str) else column[first:first + _BLOCK_ROWS]
+                     for column in columns]
+            rows = min(_BLOCK_ROWS, len(arrays[0]) - first)
+            if rows >= _KERNEL_ROWS:
                 from . import _g17  # imported by the first long block only
 
-                text = _g17.format_rows(row_format, parts)
+                text = _g17.format_rows(block)
             else:
-                # Python numbers: tolist(), or list() for seeds, which may exceed int64.
-                rows = zip(*(p.tolist() if isinstance(p, np.ndarray) else list(p) for p in parts))
-                text = row_format * len(parts[0]) % tuple(itertools.chain.from_iterable(rows))
+                # Python numbers from tolist(): uint64 seeds may exceed int64.
+                fields = zip(*(np.where(part, "true", "false").tolist() if part.dtype == bool
+                               else part.tolist() for part in block if not isinstance(part, str)))
+                text = row_format * rows % tuple(itertools.chain.from_iterable(fields))
             handle.write(text)
 
 

@@ -2,9 +2,10 @@
 
 Each check writes its columns through ``cli._write_output`` at row counts on
 both sides of the renderer's row cutoff and of one block, so both paths and
-a block boundary are exercised; ``%`` applied to each row is the reference.
-Floats go through ``%.17g``, seed ranges through ``%d`` and flag arrays
-through ``%s``.
+a block boundary are exercised; ``%`` applied to each field of each row is
+the reference. A float64 column is checked against ``%.17g``, a uint64
+column against ``%d``, a bool column against ``true``/``false``, and a
+``str`` against the same text in every row.
 """
 
 import contextlib
@@ -12,9 +13,9 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from pathent import _g17, cli
+from pathent import cli
 
 #: Row counts around the cutoff below which ``%`` renders a block, and around
 #: the block size.
@@ -30,15 +31,29 @@ def assert_same_rows(actual, expected):
     assert len(actual) == len(expected), f"{len(actual)} rows != {len(expected)}"
 
 
+def _percent_fields(column, rows):
+    """Each row's field of ``column`` by ``%``, or the constant text ``column``."""
+    if isinstance(column, str):
+        return [column] * rows
+    if column.dtype == bool:
+        return ["true" if flag else "false" for flag in column.tolist()]
+    return [("%d" if column.dtype == np.uint64 else "%.17g") % v for v in column.tolist()]
+
+
+def assert_columns_match_percent(columns):
+    """``columns`` through ``_write_output``, against each field by ``%``."""
+    rows = next(len(column) for column in columns if not isinstance(column, str))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_output(None, "", columns)
+    fields = zip(*(_percent_fields(column, rows) for column in columns))
+    assert_same_rows(out.getvalue(), "".join(",".join(row) + "\n" for row in fields))
+
+
 def assert_matches_percent(values, rows):
     """Two columns, ``values`` cycled to ``rows`` rows and the same reversed."""
     column = np.resize(np.asarray(values, dtype=np.float64), rows)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._write_output(None, "", "%.17g,%.17g\n", [column, column[::-1]])
-    expected = "".join("%.17g,%.17g\n" % pair
-                       for pair in zip(column.tolist(), column[::-1].tolist()))
-    assert_same_rows(out.getvalue(), expected)
+    assert_columns_match_percent([column, column[::-1]])
 
 
 def _decimal_ties():
@@ -108,66 +123,68 @@ def test_edge_values(values, rows):
     assert_matches_percent(values, rows)
 
 
-def assert_fields_match_percent(row_format, columns, kernel):
-    """``columns`` through ``_write_output``, and whether a field kernel took
-    the ``%d``/``%s`` column (``kernel``) or it fell back to ``%``."""
-    fallbacks = []
-    percent_words = _g17._percent_words
-
-    def spy(spec, column):
-        if spec != "%.17g":  # render's zeros and other values out of its range
-            fallbacks.append(spec)
-        return percent_words(spec, column)
-
-    out = io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        patch.setattr(_g17, "_percent_words", spy)
-        cli._write_output(None, "", row_format, columns)
-    values = [column.tolist() if isinstance(column, np.ndarray) else list(column)
-              for column in columns]
-    assert_same_rows(out.getvalue(), "".join(row_format % row for row in zip(*values)))
-    if len(columns[0]) >= cli._KERNEL_ROWS:
-        assert bool(fallbacks) != kernel, fallbacks
-
-
-#: (first seed as a function of the row count, step) of ranges the kernel renders.
+#: (first seed as a function of the row count, step) of seed columns.
 _KERNEL_RANGES = {
     "from-0": (lambda rows: 0, 1),  # across 9/10 and 99/100 too
     "across-10**8": (lambda rows: 10**8 - rows // 2, 1),
     "across-10**16": (lambda rows: 10**16 - rows // 2, 1),
     "across-10**19": (lambda rows: 10**19 - rows // 2, 1),
     "to-2**64": (lambda rows: 2**64 - rows, 1),
-}
-_PERCENT_RANGES = {
     "step-2": (lambda rows: 10**8 - rows, 2),
     "step--1": (lambda rows: 2**64 - 1, -1),
-    "negative-start": (lambda rows: -(rows // 2), 1),
-    "past-2**64": (lambda rows: 2**64 - rows // 2, 1),
 }
 
 
 @pytest.mark.parametrize("rows", _ROWS)
-@pytest.mark.parametrize("case", [*_KERNEL_RANGES, *_PERCENT_RANGES])
+@pytest.mark.parametrize("case", _KERNEL_RANGES)
 def test_seed_ranges(case, rows):
-    start, step = {**_KERNEL_RANGES, **_PERCENT_RANGES}[case]
-    seeds = range(start(rows), start(rows) + rows * step, step)
+    start, step = _KERNEL_RANGES[case]
+    seeds = np.array(range(start(rows), start(rows) + rows * step, step), dtype=np.uint64)
     floats = np.linspace(-1.0, 1.0, rows)
-    assert_fields_match_percent("%d,1000,%.17g\n", [seeds, floats], case in _KERNEL_RANGES)
+    assert_columns_match_percent([seeds, "1000", floats])
+
+
+def _digit_counts(digits):
+    """Integers of ``digits`` decimal digits below 2**64 (0 counts as one digit)."""
+    return st.integers(10**(digits - 1) if digits > 1 else 0, min(10**digits, 2**64) - 1)
+
+
+#: Integers below 2**64, each digit count from 1 to 20 equally likely.
+_integers = st.integers(1, 20).flatmap(_digit_counts)
+
+
+@given(values=st.lists(_integers, min_size=1, max_size=64), rows=st.sampled_from(_ROWS[:2]))
+@example(values=[2**64 - 1, 0, 10**19, 9], rows=cli._KERNEL_ROWS)
+def test_any_integers(values, rows):
+    column = np.resize(np.array(values, dtype=np.uint64), rows)
+    assert_columns_match_percent([column, column[::-1]])
 
 
 @pytest.mark.parametrize("rows", _ROWS)
-@pytest.mark.parametrize("words, kernel", [
-    (["true", "false", "false"], True),
-    (["", "", "x"], True),
-    (["abcdefgh", "12345678", ""], True),
-    (["abcdefghi", "a", "123456789"], True),
-    (["caf\u00e9", "true", "\u00fc"], False),
-    (["true", "\u2211"], False),
-], ids=["flags", "empty", "8-characters", "9-characters", "latin-1", "beyond-latin-1"])
-def test_string_arrays(words, kernel, rows):
-    flags = np.resize(np.array(words), rows)
+def test_every_digit_count(rows):
+    # Both ends of each digit count, 0 and 2**64 - 1, in a shuffled order.
+    values = [0, 2**64 - 1] + [v for d in range(1, 20) for v in (10**d - 1, 10**d)]
+    column = np.resize(np.random.default_rng(rows).permutation(
+        np.array(values, dtype=np.uint64)), rows)
+    assert_columns_match_percent([column, column[::-1]])
+
+
+@pytest.mark.parametrize("rows", _ROWS)
+@pytest.mark.parametrize("flags", [[True], [False], [True, False, False]],
+                         ids=["all-true", "all-false", "mixed"])
+def test_flag_columns(flags, rows):
+    flags = np.resize(np.array(flags), rows)
     floats = np.linspace(0.0, 1.0, rows)
-    assert_fields_match_percent("%.17g,%s\n", [floats, flags], kernel)
-    assert_fields_match_percent("%s;%.17g\n", [flags[::-1], floats], kernel)
-    swapped = flags.astype(flags.dtype.newbyteorder())  # code points the kernel would misread
-    assert_fields_match_percent("%.17g,%s\n", [floats, swapped], False)
+    assert_columns_match_percent([floats, flags])
+    assert_columns_match_percent([flags[::-1], floats])
+    assert_columns_match_percent([flags, flags[::-1]])
+
+
+@pytest.mark.parametrize("rows", _ROWS)
+@pytest.mark.parametrize("place", range(4), ids=["start", "after-integer", "after-float", "end"])
+@pytest.mark.parametrize("text", ["", "1000", "abcdefgh", "abcdefghi", "%d%%"])
+def test_constant_fields(text, place, rows):
+    columns = [np.arange(rows, dtype=np.uint64), np.linspace(0.0, 1.0, rows),
+               np.arange(rows) % 3 == 0]
+    columns.insert(place, text)
+    assert_columns_match_percent(columns)
