@@ -1,9 +1,12 @@
-"""numpy's ``Generator.binomial`` over many fresh PCG64 streams at once, bit for bit.
+"""numpy's binomial counts for many seeded streams at once, bit for bit.
 
-``binomial(words, n, p)`` takes a (seeds, terms, 4) uint64 array of seed words
-and one probability per term. It returns the (seeds, terms) counts that
-``Generator(PCG64(words[s, t])).binomial(n, p[t])`` draws in numpy itself, by a
-port of numpy's C code to uint64 and float64 arrays:
+Seeds in, counts out: ``counts(seeds, n, p)`` takes a 1-d uint64 array of
+seeds and one probability per term, and returns the (seeds, terms) counts
+that numpy's ``default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))``
+draws with ``.binomial(n, p[t])``. It hashes the seeds in passes, numpy's
+``SeedSequence`` as uint32 array arithmetic, and ``binomial(words, n, p)``
+draws a pass from its seed words by a port of numpy's C code to uint64 and
+float64 arrays:
 
 - PCG64 (O'Neill 2014): ``pcg64_set_seed`` takes the words as the 128-bit
   ``[hi, lo]`` state and sequence, ``inc = seq << 1 | 1``, and steps twice;
@@ -28,9 +31,12 @@ set-up is scalar Python arithmetic per term. n is at most ``2**62``: C's
 Both samplers restart from nothing but the RNG state after a rejection, so a
 draw is a sequence of masked rounds over the still-pending streams. The few
 streams left after some rounds are redrawn by numpy from their seed words:
-it replays the rejected attempts and reaches the same count. ``port_agrees``
-compares the port with numpy on fixed probes, because NEP 19 lets
-``binomial`` change between numpy releases.
+it replays the rejected attempts and reaches the same count. Numpy also
+draws, one generator per stream, a pass of fewer than ``_PORT_STREAMS``
+streams or with n above ``2**62``, and every pass once ``port_agrees`` finds
+the port differing from numpy on fixed probes: numpy's stream-compatibility
+policy (NEP 19) fixes the hash and the bit generator but lets ``binomial``
+change between numpy releases.
 """
 
 from __future__ import annotations
@@ -40,7 +46,16 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
+_TERMS = 4
+#: Seeds hashed and drawn per pass of ``counts``: 2**14 streams, which bounds
+#: the working set whatever the number of seeds.
+_PASS_SEEDS = 2**14 // _TERMS
+#: A pass of fewer streams, or a sample size above 2**62, is drawn by numpy
+#: one stream at a time instead of by the vectorised port.
+_PORT_STREAMS = 256
+_PORT_MAX_TRIALS = 2**62
 #: Rounds of the port before the pending streams are left to numpy.
 _ROUNDS = 8
 #: Pending streams few enough to leave to numpy without another round. A
@@ -52,6 +67,119 @@ _MASK32 = 0xFFFF_FFFF
 _MULTIPLIER = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645  # PCG's 128-bit default
 _MULT_HI, _MULT_LO = _MULTIPLIER >> 64, _MULTIPLIER & (2**64 - 1)
 _TWO_M53 = 2.0**-53
+
+
+def counts(seeds: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
+    """numpy's (seeds, terms) counts for a 1-d uint64 array of seeds, p per term.
+
+    ``n`` is an integer in [1, 2**63 - 1] and ``p`` holds one probability for
+    each of the ``_TERMS`` terms.
+    """
+    drawn = np.empty((seeds.size, _TERMS), dtype=np.int64)
+    for first in range(0, seeds.size, _PASS_SEEDS):
+        words = _seed_words(seeds[first:first + _PASS_SEEDS])
+        if words.shape[0] * _TERMS >= _PORT_STREAMS and n <= _PORT_MAX_TRIALS and port_agrees():
+            drawn[first:first + _PASS_SEEDS] = binomial(words, int(n), p)
+        else:
+            drawn[first:first + _PASS_SEEDS] = _numpy_counts(words, n, p)
+    return drawn
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe) as uint32 array arithmetic. Its
+# hash constants advance by a fixed multiplier on every call, whatever the
+# data, so the whole chain is computed once here.
+_XSHIFT = np.uint32(16)
+
+
+def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+#: mix_entropy hashes 4 pool words, 12 cross-mixes and the spawn key into 4 words.
+_MIX_CONSTANTS = _constant_chain(0x43B0D7E5, 0x931E8875, 4 + 12 + 4)
+#: generate_state(4, uint64) hashes 8 uint32 words; as [j, i, 1], word 4j + i,
+#: which hashes pool word i.
+_STATE_XOR, _STATE_MULT = (_constant_chain(0x8B51F9DD, 0x58F38DED, 8)[first:first + 8]
+                           .reshape(2, 4, 1) for first in (0, 1))
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+
+
+def _hashmix(value: np.ndarray, first: int, calls: int) -> np.ndarray:
+    """Hash calls ``first`` to ``first + calls - 1``: row i of the result takes call ``first + i``.
+
+    ``value`` broadcasts against a column of ``calls`` rows.
+    """
+    value = value ^ _MIX_CONSTANTS[first:first + calls, np.newaxis]
+    value *= _MIX_CONSTANTS[first + 1:first + calls + 1, np.newaxis]
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    result ^= result >> _XSHIFT
+    return result
+
+
+#: The spawn key's hashes as [term, pool word, 1]: the same for every seed.
+_TERM_HASHES = _hashmix(np.arange(_TERMS, dtype=np.uint32), 16, 4).T[:, :, np.newaxis]
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, uint64)``.
+
+    Returns a C-contiguous array of shape (seeds, terms, 4): numpy's PCG64
+    reads each stream's four words raw from its buffer. With a spawn key,
+    numpy pads the entropy of every seed below 2**64 to the same five words
+    ``[lo, hi, 0, 0, t]``, so the first two mixing stages depend on the seed
+    alone and only the last one on the term. Every operation runs along the
+    seeds: on the interleaved result, with rows of 4 or 8 words, numpy would
+    spend its time in loop overhead.
+    """
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & _MASK32
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, 0, 4)  # the entropy words [lo, hi, 0, 0]
+    # Each pool word is hashed three times in a row, once into each other word.
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 3))
+    # Little-endian pairs of the eight state words make the four uint64 words.
+    words = np.empty((seeds.size, _TERMS, 8), dtype="<u4")
+    for term, mixed in enumerate(_mix(pool, _TERM_HASHES)):
+        state = mixed ^ _STATE_XOR
+        state *= _STATE_MULT
+        state ^= state >> _XSHIFT
+        words[:, term] = state.reshape(8, -1).T
+    return words.view("<u8")
+
+
+class _StreamWords(ISeedSequence):
+    """An ``ISeedSequence`` that hands one stream's hashed words to numpy's PCG64."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words  # PCG64 reads the buffer raw: 4 contiguous uint64
+
+    def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only 4 uint64 words are hashed, got {n_words} {dtype!r}")
+        return self.words
+
+
+def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Counts drawn by numpy, one ``Generator`` per stream of ``words``.
+
+    ``words`` has shape (..., 4) and ``p`` broadcasts against the streams,
+    ``words.shape[:-1]``: one p per term for a pass, or one per stream.
+    """
+    shape = words.shape[:-1]
+    p = np.broadcast_to(p, shape).ravel().tolist()
+    return np.array([np.random.Generator(np.random.PCG64(_StreamWords(row))).binomial(n, q)
+                     for row, q in zip(words.reshape(-1, 4), p)], dtype=np.int64).reshape(shape)
 
 
 # PCG64 on uint64 arrays. A stream set is one (4, N) array: state hi and lo,
@@ -366,8 +494,6 @@ def binomial(words: np.ndarray, n: int, p: Sequence[float],
 def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray,
             stragglers: int) -> np.ndarray:
     """Masked rounds over the pending streams, then numpy redraws the stragglers."""
-    from .montecarlo import _numpy_counts
-
     counts = np.zeros(len(words), dtype=np.int64)
     streams = _seeded(words)
     pending = np.arange(len(words))
@@ -400,8 +526,6 @@ _PROBE_SEEDS = 32
 @functools.cache
 def port_agrees() -> bool:
     """Whether the port draws numpy's counts on fixed probes; checked once."""
-    from .montecarlo import _numpy_counts
-
     for n, p, first in _PROBES:
         words = np.arange(first, first + _PROBE_SEEDS * len(p) * 4, dtype=np.uint64)
         words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4)

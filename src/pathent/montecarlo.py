@@ -10,20 +10,8 @@ time and memory per pair do not grow with ``n``.
 Every (seed, setting pair) draws from its own substream, numpy's
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(term_index,)))``, so
 counts depend only on (seed, trials, settings) and never on evaluation order
-or on the other seeds of a run. A run takes one seed or a sequence of them,
-drawn in passes of 2**14 streams (4096 seeds times the four terms). In each
-pass the ``SeedSequence`` hash is evaluated as uint32 array arithmetic, and
-the counts are drawn all at once by ``_binomial``: a port of numpy's PCG64 and
-of its binomial sampler (inversion, or BTPE) to uint64 and float64 arrays. It
-takes BTPE's logs from ``np.log`` and recomputes with libm's ``log`` every
-decision that lies within a guard band of its threshold, and it starts
-inversion from ``exp(n * log1p(-p))``, as numpy's C code does, so its counts
-are bit-identical to building each generator with numpy. Numpy draws one
-generator per stream for a pass of fewer than 256 streams or a sample size
-above 2**62, for every pass if the port differs from numpy on the fixed probes
-it is checked against on first use, and for the few streams the port leaves
-pending after its rounds.
-Numpy's stream-compatibility policy (NEP 19) fixes the hash and the bit generator.
+or on the other seeds of a run. ``_binomial.counts`` draws them, bit for bit
+as numpy does, for the whole sequence of seeds at once.
 
 The plug-in estimator of the normalized CH74 margin is
 
@@ -39,7 +27,6 @@ lets ``Generator`` distributions such as binomial change between releases.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,14 +40,6 @@ _MAX_SEED = 2**64
 _MAX_RANGE = np.iinfo(np.intp).max // 8
 #: Largest sample size numpy's binomial sampler takes (a signed 64-bit integer).
 _MAX_TRIALS = 2**63 - 1
-_TERMS = 4
-#: Seeds hashed and drawn per pass of simulate_counts: 2**14 streams, which
-#: bounds the working set whatever the number of seeds.
-_PASS_SEEDS = 2**14 // _TERMS
-#: A pass of fewer streams, or a sample size above 2**62, is drawn by numpy
-#: one stream at a time instead of by the vectorised port.
-_PORT_STREAMS = 256
-_PORT_MAX_TRIALS = 2**62
 
 
 def _integer(name: str, value: object) -> object:
@@ -171,124 +150,6 @@ class McEstimate:
             return _python(np.where(error > 0.0, statistic / error, signed_inf))
 
 
-# numpy's SeedSequence (O'Neill's seed_seq_fe) as uint32 array arithmetic. Its
-# hash constants advance by a fixed multiplier on every call, whatever the
-# data, so the whole chain is computed once here.
-_MASK32 = 0xFFFF_FFFF
-_XSHIFT = np.uint32(16)
-
-
-def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array(chain, dtype=np.uint32)
-
-
-#: mix_entropy hashes 4 pool words, 12 cross-mixes and the spawn key into 4 words.
-_MIX_CONSTANTS = _constant_chain(0x43B0D7E5, 0x931E8875, 4 + 12 + 4)
-#: generate_state(4, uint64) hashes 8 uint32 words; as [j, i, 1], word 4j + i,
-#: which hashes pool word i.
-_STATE_XOR, _STATE_MULT = (_constant_chain(0x8B51F9DD, 0x58F38DED, 8)[first:first + 8]
-                           .reshape(2, 4, 1) for first in (0, 1))
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-
-
-def _hashmix(value: np.ndarray, first: int, calls: int) -> np.ndarray:
-    """Hash calls ``first`` to ``first + calls - 1``: row i of the result takes call ``first + i``.
-
-    ``value`` broadcasts against a column of ``calls`` rows.
-    """
-    value = value ^ _MIX_CONSTANTS[first:first + calls, np.newaxis]
-    value *= _MIX_CONSTANTS[first + 1:first + calls + 1, np.newaxis]
-    value ^= value >> _XSHIFT
-    return value
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    result ^= result >> _XSHIFT
-    return result
-
-
-#: The spawn key's hashes as [term, pool word, 1]: the same for every seed.
-_TERM_HASHES = _hashmix(np.arange(_TERMS, dtype=np.uint32), 16, 4).T[:, :, np.newaxis]
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, uint64)``.
-
-    Returns a C-contiguous array of shape (seeds, terms, 4): numpy's PCG64
-    reads each stream's four words raw from its buffer. With a spawn key,
-    numpy pads the entropy of every seed below 2**64 to the same five words
-    ``[lo, hi, 0, 0, t]``, so the first two mixing stages depend on the seed
-    alone and only the last one on the term. Every operation runs along the
-    seeds: on the interleaved result, with rows of 4 or 8 words, numpy would
-    spend its time in loop overhead.
-    """
-    pool = np.zeros((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds & _MASK32
-    pool[1] = seeds >> 32
-    pool = _hashmix(pool, 0, 4)  # the entropy words [lo, hi, 0, 0]
-    # Each pool word is hashed three times in a row, once into each other word.
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 3))
-    # Little-endian pairs of the eight state words make the four uint64 words.
-    words = np.empty((seeds.size, _TERMS, 8), dtype="<u4")
-    for term, mixed in enumerate(_mix(pool, _TERM_HASHES)):
-        state = mixed ^ _STATE_XOR
-        state *= _STATE_MULT
-        state ^= state >> _XSHIFT
-        words[:, term] = state.reshape(8, -1).T
-    return words.view("<u8")
-
-
-@functools.cache
-def _stream_words() -> type:
-    """An ``ISeedSequence`` that hands one stream's hashed words to numpy's PCG64.
-
-    Defined once, on first use: numpy.random loads lazily, and `import
-    pathent.cli` stays free of its ~10 ms import for the commands that never
-    draw.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StreamWords(ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words  # PCG64 reads the buffer raw: 4 contiguous uint64
-
-        def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"only 4 uint64 words are hashed, got {n_words} {dtype!r}")
-            return self.words
-
-    return StreamWords
-
-
-def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Counts drawn by numpy, one ``Generator`` per stream of ``words``.
-
-    ``words`` has shape (..., 4) and ``p`` broadcasts against the streams,
-    ``words.shape[:-1]``: one p per term for a pass, or one per stream.
-    """
-    stream_words, shape = _stream_words(), words.shape[:-1]
-    p = np.broadcast_to(p, shape).ravel().tolist()
-    return np.array([np.random.Generator(np.random.PCG64(stream_words(row))).binomial(n, q)
-                     for row, q in zip(words.reshape(-1, 4), p)], dtype=np.int64).reshape(shape)
-
-
-def _draw(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
-    """numpy's counts for one pass: by the vectorised port where it applies."""
-    if words.shape[0] * words.shape[1] >= _PORT_STREAMS and n <= _PORT_MAX_TRIALS:
-        from . import _binomial  # imported by the first pass that uses it
-
-        if _binomial.port_agrees():
-            return _binomial.binomial(words, int(n), p)
-    return _numpy_counts(words, n, p)
-
-
 def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     """Coincidence counts for the four setting pairs.
 
@@ -297,16 +158,14 @@ def simulate_counts(cfg: McConfig) -> tuple[int | np.ndarray, ...]:
     phase difference; time and memory are constant in ``trials_per_setting``.
     An integer seed gives four ints, a sequence four arrays along the seeds.
     """
+    from . import _binomial  # loads numpy.random, which `import pathent.cli` leaves out
+
     settings = cfg.settings
     probabilities = [
         joint_probability_at_phase(delta, settings.v, settings.eta)
         for delta in settings.phase_differences()
     ]
-    seeds = cfg.seeds.reshape(-1)
-    counts = np.empty((seeds.size, _TERMS), dtype=np.int64)
-    for first in range(0, seeds.size, _PASS_SEEDS):
-        words = _seed_words(seeds[first:first + _PASS_SEEDS])
-        counts[first:first + _PASS_SEEDS] = _draw(words, cfg.trials_per_setting, probabilities)
+    counts = _binomial.counts(cfg.seeds.reshape(-1), cfg.trials_per_setting, probabilities)
     return tuple(_python(count.reshape(cfg.seeds.shape)) for count in counts.T)
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 import pathent
-from pathent import _binomial, cli, montecarlo
+from pathent import _binomial, cli
 from pathent.bell import ChSettings, bell_angle_settings, ch_statistic
 from pathent.correlations import (
     Efficiency,
@@ -24,16 +24,12 @@ from pathent.correlations import (
     Visibility,
     joint_probability_at_phase,
 )
+from pathent._binomial import _PASS_SEEDS, _PORT_STREAMS, _numpy_counts, _seed_words
 from pathent.montecarlo import (
-    _PASS_SEEDS,
-    _PORT_STREAMS,
     McConfig,
     McEstimate,
-    _draw,
     _frequencies,
-    _numpy_counts,
     _seed_array,
-    _seed_words,
     estimate_ch,
     simulate_counts,
 )
@@ -263,7 +259,7 @@ class TestBatchedSeeding:
     def test_blocks_of_seeds_match_one_seed_at_a_time(self, monkeypatch):
         # 600 seeds span passes of 256, 256 and 88 seeds; each row equals
         # its one-seed run.
-        monkeypatch.setattr(montecarlo, "_PASS_SEEDS", 256)
+        monkeypatch.setattr(_binomial, "_PASS_SEEDS", 256)
         seeds = range(2**64 - 600, 2**64)
         settings = bell_angle_settings(Visibility(v=0.8))
         batched = estimate_ch(McConfig(seed=seeds, trials_per_setting=500, settings=settings))
@@ -353,11 +349,13 @@ def accepting_none(round_):
 
 def edge_probabilities(n):
     """Probabilities at the sampler edges for n: the ends, 1/2, 1e-14 from either
-    end, and r * n == 30.0 exactly (inversion) and one ulp above it (BTPE)."""
+    end, and r * n == 30.0 exactly (inversion) and one ulp above it (BTPE),
+    the last also on every term, so that one sampler holds all the streams."""
     at_30 = 30.0 / n if n >= 30 else 1.0
     assert at_30 * float(n) == 30.0 or n < 30
     above_30 = math.nextafter(at_30, 1.0) if at_30 < 1.0 else 0.25
-    return [(0.0, 0.5, 1.0, 1e-14), (1.0 - 1e-14, at_30, above_30, 1.0 - at_30)]
+    return [(0.0, 0.5, 1.0, 1e-14), (1.0 - 1e-14, at_30, above_30, 1.0 - at_30),
+            (above_30,) * 4]
 
 
 PORT_AGREES = _binomial.port_agrees()
@@ -412,14 +410,17 @@ class TestBinomialPort:
     @pytest.mark.parametrize("n", TRIALS)
     def test_sampler_edges_equal_numpy(self, n):
         # 64 seeds x 4 terms reach the port's cutoff; n = 2**63 - 1 is above
-        # the port's range and drawn by numpy. The port runs with its
+        # the port's range and drawn by numpy: there C's n + 1 wraps, and
+        # the port's BTPE product test would differ once a sampler holds
+        # more streams than the straggler cutoff. The port runs with its
         # straggler cutoff and with a cutoff of 0, which takes every sampler
         # through its rounds.
         seeds = [0, 2**64 - 1, *range(1, _PORT_STREAMS // 4 - 1)]
-        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        seed_array = np.array(seeds, dtype=np.uint64)
+        words = _seed_words(seed_array)
         for p in edge_probabilities(n):
             expected = numpy_counts(seeds, n, p)
-            np.testing.assert_array_equal(_draw(words, n, p), expected)
+            np.testing.assert_array_equal(_binomial.counts(seed_array, n, p), expected)
             if n <= 2**62 and PORT_AGREES:
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
@@ -554,16 +555,17 @@ class TestBinomialPort:
             extra.append(peak - sum(count.nbytes for count in counts))
         assert extra[1] <= 1.5 * extra[0]
 
-    def test_small_run_never_loads_the_port(self, tmp_path):
+    def test_small_run_never_runs_the_canary(self, tmp_path):
         # Fewer streams than the cutoff (the paper's 20 seeds) are drawn by
-        # numpy and never pay for importing the port.
+        # numpy and never pay for checking the port against numpy.
         code = ("import sys, pathent.cli; pathent.cli.run(sys.argv[1:]); "
-                "print('pathent._binomial' in sys.modules)")
+                "from pathent import _binomial; "
+                "print(_binomial.port_agrees.cache_info().currsize)")
         env = {**os.environ, "PYTHONPATH": str(Path(pathent.__file__).parents[1])}
         argv = ["mc-bell", "--num-seeds", "20", "-o", str(tmp_path / "out.csv")]
         result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                                 capture_output=True, text=True, check=True, timeout=60)
-        assert result.stdout == "False\n"
+        assert result.stdout == "0\n"
 
 
 class TestEstimateCh:
