@@ -65,7 +65,6 @@ _STRAGGLERS = 128
 
 _MASK32 = 0xFFFF_FFFF
 _MULTIPLIER = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645  # PCG's 128-bit default
-_MULT_HI, _MULT_LO = _MULTIPLIER >> 64, _MULTIPLIER & (2**64 - 1)
 _TWO_M53 = 2.0**-53
 
 
@@ -184,34 +183,66 @@ def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float] | np.ndarray) ->
 
 # PCG64 on uint64 arrays. A stream set is one (4, N) array: state hi and lo,
 # increment hi and lo; numpy's uint64 array arithmetic wraps modulo 2**64.
-
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the 128-bit products ``a * b``, from 32-bit halves."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    w1 = a1 * b0 + (a0 * b0 >> 32)
-    w2 = a0 * b1 + (w1 & _MASK32)
-    return a1 * b1 + (w1 >> 32) + (w2 >> 32)
+#
+# The port's arrays are updated in place (``out=``, augmented assignment,
+# ``np.copyto(..., where=)``) and each temporary is dropped once used. glibc
+# hands the heap a pass grew back to the OS after the pass, so the next pass
+# faults its pages in again: written this way, a pass holds 144 instead of
+# 224 bytes per stream above its counts, and a warm 3000-seed mc-bell
+# invocation took 229-713 instead of 783-963 minor page faults (four seeds)
+# and ran 6-12 % faster. Every scalar in an in-place uint64 operation is an
+# np.uint64: numpy 1.x promotes a uint64 array and a Python int to float64,
+# which ``out=`` then refuses.
+_U64 = np.uint64
+_LOW32 = _U64(_MASK32)
+_MULT_HI, _MULT_LO = _U64(_MULTIPLIER >> 64), _U64(_MULTIPLIER & (2**64 - 1))
+_MULT_LO_0, _MULT_LO_1 = _MULT_LO & _LOW32, _MULT_LO >> _U64(32)
 
 
 def _step(streams: np.ndarray) -> None:
-    """state = state * multiplier + inc, modulo 2**128, in place."""
+    """state = state * multiplier + inc, modulo 2**128, in place.
+
+    The high word gains the high 64 bits of ``lo * _MULT_LO``, formed from
+    32-bit halves: ``lo = a1 * 2**32 + a0`` and ``_MULT_LO = b1 * 2**32 + b0``.
+    """
     hi, lo, inc_hi, inc_lo = streams
-    new_hi = _mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
-    new_lo = lo * _MULT_LO + inc_lo
-    streams[0] = new_hi + inc_hi + (new_lo < inc_lo)
-    streams[1] = new_lo
+    a1, w, t = np.empty((3, lo.size), dtype=np.uint64)
+    np.right_shift(lo, _U64(32), out=a1)
+    np.bitwise_and(lo, _LOW32, out=w)
+    w *= _MULT_LO_0
+    w >>= _U64(32)
+    w += np.multiply(a1, _MULT_LO_0, out=t)  # w1 = a1 * b0 + (a0 * b0 >> 32)
+    hi *= _MULT_LO
+    hi += np.multiply(lo, _MULT_HI, out=t)
+    a1 *= _MULT_LO_1
+    hi += a1
+    hi += np.right_shift(w, _U64(32), out=t)
+    w &= _LOW32
+    np.bitwise_and(lo, _LOW32, out=t)
+    t *= _MULT_LO_1
+    t += w  # w2 = a0 * b1 + (w1 & mask)
+    t >>= _U64(32)
+    hi += t
+    hi += inc_hi
+    lo *= _MULT_LO
+    lo += inc_lo
+    hi += np.less(lo, inc_lo, out=t)  # the carry out of the low word
 
 
 def _seeded(words: np.ndarray) -> np.ndarray:
     """numpy's ``pcg64_set_seed`` on each row ``[state hi, lo, seq hi, lo]``."""
     seed_hi, seed_lo, seq_hi, seq_lo = words.T
     streams = np.empty((4, len(words)), dtype=np.uint64)
-    streams[2] = seq_hi << 1 | seq_lo >> 63
-    streams[3] = seq_lo << 1 | 1
-    streams[:2] = streams[2:]  # the first step, from state 0, gives inc
-    streams[1] += seed_lo
-    streams[0] += seed_hi + (streams[1] < seed_lo)
+    hi, lo, inc_hi, inc_lo = streams
+    np.left_shift(seq_hi, _U64(1), out=inc_hi)
+    inc_hi |= np.right_shift(seq_lo, _U64(63), out=lo)
+    np.left_shift(seq_lo, _U64(1), out=inc_lo)
+    inc_lo |= _U64(1)
+    # The first step, from state 0, gives inc; the seed is added to it.
+    np.add(inc_lo, seed_lo, out=lo)
+    np.less(lo, seed_lo, out=hi)
+    hi += inc_hi
+    hi += seed_hi
     _step(streams)
     return streams
 
@@ -220,9 +251,25 @@ def _next_double(streams: np.ndarray) -> np.ndarray:
     """Step every stream and return its next double in [0, 1)."""
     _step(streams)
     hi, lo = streams[0], streams[1]
-    rot = hi >> 58
     x = hi ^ lo
-    return ((x >> rot | x << (-rot & 63)) >> 11).astype(np.float64) * _TWO_M53
+    rot = hi >> _U64(58)
+    right = x >> rot
+    np.negative(rot, out=rot)
+    rot &= _U64(63)
+    x <<= rot
+    x |= right
+    del rot, right
+    x >>= _U64(11)
+    double = _recast(x, np.float64)  # exact below 2**53
+    double *= _TWO_M53
+    return double
+
+
+def _recast(values: np.ndarray, dtype: type) -> np.ndarray:
+    """``values.astype(dtype)`` in the buffer of ``values``, a 1-d array of the same item size."""
+    recast = values.view(dtype)
+    np.copyto(recast, values, casting="unsafe")  # element by element, each in its own slot
+    return recast
 
 
 def _log(values: np.ndarray) -> np.ndarray:
@@ -374,39 +421,69 @@ class _Btpe:
                         self._down[g, np.minimum(k, self._down.shape[1] - 1)])
 
     def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p1, p2, p3, xl, c, m = self.p1[g], self.p2[g], self.p3[g], self.xl[g], self.c[g], self.m[g]
-        u = _next_double(streams) * self.p4[g]
+        # In place, as PCG64 above; each array is gathered where it is used.
+        u = _next_double(streams)
+        u *= self.p4[g]
         v = _next_double(streams)
         # Step 10 accepts the triangle; step 20's box gives a candidate y and a
         # new v to step 50, or rejects. Both are evaluated for every stream.
+        p1 = self.p1[g]
         accepted = u <= p1
-        x = xl + (u - p1) / c
-        y = np.floor(np.where(accepted, self.xm[g] - p1 * v + u, x)).astype(np.int64)
-        vb = v * c + 1.0 - np.abs(m - x + 0.5) / p1
-        box = ~accepted & (u <= p2) & (vb <= 1.0)
-        v = np.where(box, vb, v)
+        y = p1 * v
+        np.subtract(self.xm[g], y, out=y)
+        y += u
+        x = u - p1
+        x /= self.c[g]
+        x += self.xl[g]
+        np.copyto(y, x, where=~accepted)
+        y = _recast(np.floor(y, out=y), np.int64)
+        np.subtract(self.m[g], x, out=x)
+        x += 0.5
+        np.abs(x, out=x)
+        x /= p1
+        del p1
+        vb = self.c[g]
+        vb *= v
+        vb += 1.0
+        vb -= x
+        del x
+        p2 = self.p2[g]
+        box = u <= p2
+        box &= vb <= 1.0
+        box &= ~accepted
+        np.copyto(v, vb, where=box)
+        del vb
         tested = [np.flatnonzero(box)]
         # Steps 30 and 40, the tails, reject v == 0: its log has no floor.
-        left = np.flatnonzero((u > p2) & (u <= p3) & (v > 0.0))
-        laml = self.laml[g[left]]
-        yt = _tail_floor(xl[left], v[left], laml)
-        vt = v[left] * (u[left] - p2[left]) * laml
+        tail = u > p2
+        del box, p2
+        tail &= v > 0.0
+        right = u > self.p3[g]
+        right &= tail
+        tail ^= right  # the left tail, p2 < u <= p3
+        left, right = np.flatnonzero(tail), np.flatnonzero(right)
+        del tail
+        gl = g[left]
+        laml = self.laml[gl]
+        yt = _tail_floor(self.xl[gl], v[left], laml)
+        vt = v[left] * (u[left] - self.p2[gl]) * laml
         keep = yt >= 0
         left = left[keep]
         y[left], v[left] = yt[keep], vt[keep]
         tested.append(left)
-        right = np.flatnonzero((u > p3) & (v > 0.0))
-        lamr = self.lamr[g[right]]
+        gr = g[right]
+        lamr = self.lamr[gr]
         # C's xr - log(v) / lamr: x - y / l and x + y / -l are the same IEEE value.
-        yt = _tail_floor(self.xr[g[right]], v[right], -lamr)
-        vt = v[right] * (u[right] - p3[right]) * lamr
+        yt = _tail_floor(self.xr[gr], v[right], -lamr)
+        vt = v[right] * (u[right] - self.p3[gr]) * lamr
         keep = yt <= self.n
         right = right[keep]
         y[right], v[right] = yt[keep], vt[keep]
         tested.append(right)
+        del u
 
         at = np.concatenate(tested)
-        k = np.abs(y[at] - m[at])
+        k = np.abs(y[at] - self.m[g[at]])
         squeeze = (k > 20) & (k < self.nrq[g[at]] / 2.0 - 1)
         # Step 50: compare v with the product F of the pmf ratios from m to y.
         product = at[~squeeze]
@@ -485,16 +562,22 @@ def binomial(words: np.ndarray, n: int, p: Sequence[float],
     counts = np.zeros(words.shape[:2], dtype=np.int64)
     for sampler, terms in _samplers(n, tuple(r.tolist())):
         g = np.tile(np.arange(len(terms)), len(words))
-        streams = words if len(terms) == len(p) else words[:, terms]  # no copy for all terms
-        counts[:, terms] = _rounds(sampler, streams.reshape(-1, 4), g,
-                                   stragglers).reshape(-1, len(terms))
-    return np.where(flip, n - counts, counts)
+        if len(terms) == len(p):  # no copies: the sampler draws into counts
+            _rounds(sampler, words.reshape(-1, 4), g, stragglers, counts.reshape(-1))
+        else:
+            drawn = np.empty((len(words), len(terms)), dtype=np.int64)
+            _rounds(sampler, words[:, terms].reshape(-1, 4), g, stragglers, drawn.reshape(-1))
+            counts[:, terms] = drawn
+    np.subtract(n, counts, out=counts, where=flip)
+    return counts
 
 
 def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray,
-            stragglers: int) -> np.ndarray:
-    """Masked rounds over the pending streams, then numpy redraws the stragglers."""
-    counts = np.zeros(len(words), dtype=np.int64)
+            stragglers: int, counts: np.ndarray) -> None:
+    """Masked rounds over the pending streams, then numpy redraws the stragglers.
+
+    Writes every stream's count into ``counts``, one per row of ``words``.
+    """
     streams = _seeded(words)
     pending = np.arange(len(words))
     for _ in range(_ROUNDS):
@@ -502,10 +585,12 @@ def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray,
             break
         accepted, drawn = sampler.round(streams, g)
         counts[pending[accepted]] = drawn
-        pending, streams, g = pending[~accepted], streams[:, ~accepted], g[~accepted]
+        del drawn
+        rejected = np.logical_not(accepted, out=accepted)
+        pending, streams, g = pending[rejected], streams[:, rejected], g[rejected]
+        del accepted, rejected
     if pending.size:
         counts[pending] = _numpy_counts(words[pending], sampler.n, sampler.r[g])
-    return counts
 
 
 #: (n, p per term, first word) probes for port_agrees, each on 32 seeds whose

@@ -358,11 +358,21 @@ def edge_probabilities(n):
             (above_30,) * 4]
 
 
-PORT_AGREES = _binomial.port_agrees()
-#: The port is checked against numpy's own sampler; a numpy whose binomial
-#: differs fails port_agrees, and every draw then goes to numpy.
+#: (seed, term, n, p) and the count numpy's ``binomial`` draws there, on its
+#: branches: inversion below and above p = 0.5 and at n = 1e15, BTPE's left
+#: and right tails, its squeeze and Stirling's bound, a draw near the mode,
+#: and C's wrapped -k * k at n = 2**62.
+NUMPY_PINS = [((0, 1, 20, 0.2), 5), ((0, 2, 20, 0.93), 18), ((0, 3, 10**15, 1e-14), 9),
+              ((0, 0, 1000, 0.3), 263), ((33, 0, 1000, 0.3), 344), ((1, 0, 1000, 0.3), 279),
+              ((3, 0, 1000, 0.3), 312), ((19, 0, 2**62, 0.5), 2305843012989448192)]
+#: Whether this numpy draws the pinned counts. Only numpy decides: the port is
+#: then required to agree with it, so a broken port fails these tests instead
+#: of turning them off through its own canary.
+NUMPY_AS_PINNED = all(numpy_term_rng(seed, term).binomial(n, p) == count
+                      for (seed, term, n, p), count in NUMPY_PINS)
 needs_port = pytest.mark.skipif(
-    not PORT_AGREES, reason="this numpy's binomial differs from the port, which is then unused")
+    not NUMPY_AS_PINNED, reason="this numpy's binomial differs from the pinned counts, "
+                                "so the port may be unused")
 
 TRIALS = [1, 30, 31, 1000, 10**6, 10**15, 2**53 - 1, 2**53 + 1, 2**62, 2**63 - 1]
 
@@ -421,7 +431,7 @@ class TestBinomialPort:
         for p in edge_probabilities(n):
             expected = numpy_counts(seeds, n, p)
             np.testing.assert_array_equal(_binomial.counts(seed_array, n, p), expected)
-            if n <= 2**62 and PORT_AGREES:
+            if n <= 2**62 and NUMPY_AS_PINNED:
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
                                               expected)
@@ -490,9 +500,12 @@ class TestBinomialPort:
         try:
             assert not _binomial.port_agrees()
         finally:
+            # Refilled here, so that a failing canary leaves the next test
+            # the unpatched port's verdict, not an empty cache.
             monkeypatch.undo()
             _binomial.port_agrees.cache_clear()
-        assert _binomial.port_agrees()
+            agrees = _binomial.port_agrees()
+        assert agrees
 
     @pytest.mark.parametrize(
         "num_seeds, port_passes",
@@ -514,7 +527,7 @@ class TestBinomialPort:
              for delta in settings.phase_differences()]
         counts = simulate_counts(McConfig(seed=seeds, trials_per_setting=500, settings=settings))
         np.testing.assert_array_equal(np.transpose(counts), numpy_counts(seeds, 500, p))
-        assert passes == (port_passes if PORT_AGREES else [])
+        assert passes == (port_passes if NUMPY_AS_PINNED or _binomial.port_agrees() else [])
 
     @pytest.mark.parametrize("argv", [
         ["--trials", "1000", "--num-seeds", "300", "--seed-start", "5"],
@@ -554,6 +567,28 @@ class TestBinomialPort:
                 tracemalloc.stop()
             extra.append(peak - sum(count.nbytes for count in counts))
         assert extra[1] <= 1.5 * extra[0]
+
+    def test_pass_footprint_per_stream(self):
+        # One full pass, traced above its counts: the port updates its arrays
+        # in place and drops each temporary once used, so a pass holds about
+        # 144 bytes per stream (the seed words, the PCG64 states and a
+        # round's temporaries); fresh temporaries at every step took 224.
+        settings = bell_angle_settings(Visibility(v=0.9))
+        cfg = McConfig(seed=range(_PASS_SEEDS), trials_per_setting=1000, settings=settings)
+        simulate_counts(cfg)  # the canary and the samplers' set-up are cached
+        tracemalloc.start()
+        try:
+            counts = simulate_counts(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = peak - sum(count.nbytes for count in counts)
+        assert extra <= 158 * _PASS_SEEDS * 4
+
+    @needs_port
+    def test_port_agrees_with_this_numpy(self):
+        # With numpy drawing the pinned counts, the port must be in use.
+        assert _binomial.port_agrees()
 
     def test_small_run_never_runs_the_canary(self, tmp_path):
         # Fewer streams than the cutoff (the paper's 20 seeds) are drawn by
