@@ -28,6 +28,18 @@ Stirling's bound, which numpy forms in float64, not int64. Each sampler's
 set-up is scalar Python arithmetic per term. n is at most ``2**62``: C's
 ``n + 1`` wraps at ``2**63 - 1``.
 
+BTPE's steps 50 and 52 depend on a candidate only through its term, its
+offset ``y - m`` and its v. Each BTPE sampler, cached by ``_samplers``,
+keeps a row per distinct r of thresholds over the offsets its candidates
+have reached: step 50's product F, or step 52's squeeze and Stirling's bound
+folded into one threshold T for ``log(v)``, built from ``np.log``. A round
+gathers its candidates' entries; those within ``_BAND`` of their entry,
+scaled per entry by ``log(v)`` and T's terms, have both recomputed from
+libm. A row grows to the reach of a round's candidates only if that takes no
+more entries than it has candidates in the round, and no more than
+``_TABLE_REACH`` on either side of m; candidates beyond the rows get their
+thresholds built the same way at their own offsets.
+
 Both samplers restart from nothing but the RNG state after a rejection, so a
 draw is a sequence of masked rounds over the still-pending streams. The few
 streams left after some rounds are redrawn by numpy from their seed words:
@@ -43,7 +55,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+import operator
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -368,57 +381,176 @@ class _BtpeTerm:
         lamr = a * (1.0 + a / 2.0)
         p2 = p1 * (1.0 + 2.0 * c)
         p3 = p2 + c / laml
-        self.r, self.q, self.m, self.nrq = r, q, m, nf * r * q
+        self.n, self.r, self.q, self.m, self.nrq = n, r, q, m, nf * r * q
         self.p1, self.p2, self.p3, self.p4 = p1, p2, p3, p3 + c / lamr
         self.xm, self.xl, self.xr, self.c, self.laml, self.lamr = xm, xl, xr, c, laml, lamr
         self._s = r / q
         self._a = self._s * float(n + 1)
 
-    def _factor(self, i: int) -> float:
-        return self._a / float(i) - self._s
+    def products(self, d: np.ndarray) -> np.ndarray:
+        """Step 50's F at offsets ``d = y - m``: C's product of the pmf ratios from m to y.
 
-    def up(self, kmax: int) -> list[float]:
-        """Step 50's F for y = m + k, k = 0..kmax: the running product from m + 1 to y."""
-        f = [1.0]
-        for i in range(self.m + 1, self.m + kmax + 1):
-            f.append(f[-1] * self._factor(i))
+        Above m, F *= a / i - s from i = m + 1 to y: one running product.
+        Below, F /= a / i - s from i = y + 1 to m, a division chain per y.
+        """
+        below, above = -int(d.min(initial=0)), int(d.max(initial=0))
+        factors = self._a / np.arange(self.m - below + 1, self.m + above + 1) - self._s
+        f = np.ones(d.size)
+        up = d > 0
+        f[up] = np.cumprod(factors[below:])[d[up] - 1]
+        down = d < 0
+        ratios = factors[:below].tolist()  # i = m - below + 1 to m
+        f[down] = [functools.reduce(operator.truediv, ratios[below + x:], 1.0)
+                   for x in d[down].tolist()]
         return f
 
-    def down(self, kmax: int) -> list[float]:
-        """Step 50's F for y = m - k, k = 0..kmax, nan below y = 0.
 
-        C divides from y + 1 up to m, so each k has a loop of its own.
-        """
-        f = [1.0]
-        for k in range(1, min(kmax, self.m) + 1):
-            value = 1.0
-            for i in range(self.m - k + 1, self.m + 1):
-                value /= self._factor(i)
-            f.append(value)
-        return f + [math.nan] * (kmax + 1 - len(f))
+#: Offsets from m that a threshold table reaches at most on either side.
+_TABLE_REACH = 4096
 
 
 class _Btpe:
-    """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` and ``n * r > 30``."""
+    """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` and ``n * r > 30``.
+
+    Steps 50 and 52 take thresholds from a table with one row per distinct r.
+    """
 
     def __init__(self, n: int, r: list[float]) -> None:
         self.n = n
-        self.terms = [_BtpeTerm(n, p) for p in r]
+        distinct = list(dict.fromkeys(r))
+        self._terms = [_BtpeTerm(n, x) for x in distinct]
+        self._row = np.array([distinct.index(x) for x in r])  # each term's row
         for name in ("r", "q", "m", "nrq", "p1", "p2", "p3", "p4",
                      "xm", "xl", "xr", "c", "laml", "lamr"):
-            setattr(self, name, np.array([getattr(term, name) for term in self.terms]))
-        self._up = self._down = np.ones((len(r), 1))
+            setattr(self, name, np.array([getattr(self._terms[i], name) for i in self._row]))
+        self._rows = [np.empty((2, 0))] * len(distinct)
+        self._lay_out()
 
-    def _products(self, y: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Step 50's F for each y at k = |y - m|, from each term's tables."""
-        above = y > self.m[g]
-        kmax = int(k.max(initial=0))
-        if k.max(where=above, initial=0) >= self._up.shape[1]:
-            self._up = np.array([term.up(kmax) for term in self.terms])
-        if k.max(where=~above, initial=0) >= self._down.shape[1]:
-            self._down = np.array([term.down(kmax) for term in self.terms])
-        return np.where(above, self._up[g, np.minimum(k, self._up.shape[1] - 1)],
-                        self._down[g, np.minimum(k, self._down.shape[1] - 1)])
+    def thresholds(self, d: np.ndarray, g: np.ndarray, log: Callable[[np.ndarray], np.ndarray],
+                   a: np.ndarray | None = None) -> np.ndarray:
+        """BTPE's threshold and its band scale for candidates y = m + d of terms g, as (2, d.size).
+
+        C accepts y at step 50 unless ``v > F``, F the product of the pmf
+        ratios from m to y, and at step 52 unless ``log(v) > T``, the squeeze
+        and Stirling's bound B folded into one number,
+        ``T = max(fmin(t + rho, B), nextafter(t - rho, -inf))``: C accepts
+        below ``t - rho``, rejects above ``t + rho`` and in between rejects
+        above B only, so a nan B rejects nothing there and a nan log(v)
+        nothing at all. ``log`` takes B's three logs. The scale is nan at
+        step 50, whose F holds no log, and at step 52 ``|T|`` plus the
+        magnitudes of B's terms. Given each candidate's ``a = log(v)``, T
+        may hold only for that a (see ``_folded``). Offsets outside [-m, n - m] get C's arithmetic too,
+        infinities and nans included, though no candidate reaches them.
+        """
+        k = np.abs(d)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            table = self._folded(d, k, g, log, a)
+            value, scale = table
+            fifty = np.flatnonzero(~((k > 20) & (k < self.nrq[g] / 2.0 - 1)))
+            rows = self._row[g[fifty]]
+            for row in np.flatnonzero(np.bincount(rows)).tolist():
+                mine = fifty[rows == row]
+                value[mine], scale[mine] = self._terms[row].products(d[mine]), np.nan
+        return table
+
+    def _folded(self, d: np.ndarray, k: np.ndarray, g: np.ndarray,
+                log: Callable[[np.ndarray], np.ndarray], a: np.ndarray | None) -> np.ndarray:
+        """Step 52's T and its scale at offsets d of terms g, ``k = |d|``, whatever step C takes.
+
+        Given each candidate's ``a = log(v)``, B is formed only where a lies
+        within the band of [t - rho, t + rho]. Elsewhere the squeeze decides,
+        and so does T = t + rho, the fold of a nan B.
+        """
+        kf, nrq = k.astype(np.float64), self.nrq[g]
+        rho = (kf / nrq) * ((kf * (kf / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+        t = (-k * k).astype(np.float64) / (2 * nrq)  # int64 product, wrapping as in C
+        upper = t + rho
+        table = np.stack([upper, np.abs(upper)])  # T and its scale for a nan B
+        value, scale = table
+        at = slice(None)
+        if a is not None:
+            at = np.flatnonzero(~(np.abs(a - t) - rho > _BAND * (np.abs(a) + np.abs(t) + rho)))
+            if not at.size:
+                return table
+            d, t, rho, g = d[at], t[at], rho[at], g[at]
+        n, m, r, q = self.n, self.m[g], self.r[g], self.q[g]
+        # numpy forms these four in float64 from n, m and y, not in int64:
+        # above 2**53 the two differ.
+        yf, mf = (m + d).astype(np.float64), m.astype(np.float64)
+        x1, f1 = yf + 1.0, mf + 1.0
+        z, w = float(n) + 1.0 - mf, float(n) - yf + 1.0
+        # Stirling's bound is the sum, left to right, of three logs times
+        # their coefficients and four correction terms.
+        terms = np.empty((7, d.size))
+        terms[:3] = log(np.stack([f1 / x1, z / w, w * r / (x1 * q)]))
+        terms[0] *= self.xm[g]
+        terms[1] *= (n - m).astype(np.float64) + 0.5
+        terms[2] *= d
+        terms[3:] = _stirling(np.stack([f1, z, x1, w]))
+        folded = np.maximum(np.fmin(upper[at], functools.reduce(np.add, terms)),
+                            np.nextafter(t - rho, -np.inf))
+        size = np.abs(folded)  # a nan bound leaves T = t + rho, which holds no log
+        value[at], scale[at] = folded, np.fmax(size + np.abs(terms).sum(axis=0), size)
+        return table
+
+    def _lay_out(self) -> None:
+        """Join the rows into one table and index each term's offset 0 and reach in it.
+
+        Column 0 of the table is a placeholder for candidates outside the rows.
+        """
+        widths = np.array([row.shape[1] for row in self._rows])
+        ends = np.cumsum(widths) + 1
+        reach = (widths - 1) // 2  # -1 for an empty row
+        self._table = np.concatenate([np.zeros((2, 1)), *self._rows], axis=1)
+        # The rows become views of the table, so each entry is held once.
+        self._rows = [self._table[:, end - width:end] for end, width in zip(ends, widths)]
+        self._start = (ends - widths + reach)[self._row]
+        self._reach = reach[self._row]
+
+    def _lookup(self, d: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``thresholds`` from ``_fast_log`` for candidates y = m + d of terms g, given log(v).
+
+        From the table where it reaches, else built for each candidate.
+        """
+        k = np.abs(d)
+        outside = k > self._reach[g]
+        index = self._start[g] + d
+        if not outside.any():
+            return self._table.take(index, axis=1)
+        rows = self._row[g]
+        grown = False
+        for row in np.flatnonzero(np.bincount(rows[outside])).tolist():
+            mine = rows == row
+            reach = int(k[mine].max())
+            if reach <= _TABLE_REACH and 2 * reach + 1 <= np.count_nonzero(mine):
+                offsets = np.arange(-reach, reach + 1)
+                term = np.full(offsets.size, np.flatnonzero(self._row == row)[0])
+                self._rows[row] = self.thresholds(offsets, term, _fast_log)
+                grown = True
+        if grown:
+            self._lay_out()
+            outside = k > self._reach[g]
+            index = self._start[g] + d
+        outside = np.flatnonzero(outside)
+        if outside.size == d.size:
+            return self.thresholds(d, g, _fast_log, a)
+        index[outside] = 0
+        table = self._table.take(index, axis=1)
+        value, scale = table
+        value[outside], scale[outside] = self.thresholds(d[outside], g[outside], _fast_log,
+                                                         a[outside])
+        return table
+
+    def _accepts(self, d: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Steps 50 and 52: whether C accepts each candidate y = m + d of term g, given v."""
+        a = _fast_log(v)
+        threshold, scale = self._lookup(d, g, a)
+        x = np.where(scale >= 0.0, a, v)  # step 52 compares log(v), step 50 v
+        near = np.flatnonzero(_near(x, threshold, np.abs(x) + scale))  # none at step 50
+        if near.size:  # there log(v) and T come from libm
+            x[near] = _log(v[near])
+            threshold[near] = self.thresholds(d[near], g[near], _log)[0]
+        return ~(x > threshold)
 
     def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # In place, as PCG64 above; each array is gathered where it is used.
@@ -483,51 +615,9 @@ class _Btpe:
         del u
 
         at = np.concatenate(tested)
-        k = np.abs(y[at] - self.m[g[at]])
-        squeeze = (k > 20) & (k < self.nrq[g[at]] / 2.0 - 1)
-        # Step 50: compare v with the product F of the pmf ratios from m to y.
-        product = at[~squeeze]
-        accepted[product] = v[product] <= self._products(y[product], k[~squeeze], g[product])
-        # Step 52: a squeeze, then Stirling's bound on log(F).
-        at = at[squeeze]
-        accepted[at] = self._squeeze(y[at], v[at], k[squeeze], g[at])
+        g = g[at]
+        accepted[at] = self._accepts(y[at] - self.m[g], v[at], g)
         return accepted, y[accepted]
-
-    def _squeeze(self, y: np.ndarray, v: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
-        nrq, kf = self.nrq[g], k.astype(np.float64)
-        rho = (kf / nrq) * ((kf * (kf / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
-        t = (-k * k).astype(np.float64) / (2 * nrq)  # int64 product, wrapping as in C
-        lower, upper = t - rho, t + rho
-        big_a = _fast_log(v)
-        near = (_near(big_a, lower, np.abs(big_a) + np.abs(lower))
-                | _near(big_a, upper, np.abs(big_a) + np.abs(upper)))
-        big_a[near] = _log(v[near])
-        # C's comparisons as written: a nan A (v < 0) is neither accepted nor
-        # rejected here, passes Stirling's bound below and is accepted.
-        accepted = big_a < lower
-        undecided = np.flatnonzero(~accepted & ~(big_a > upper))
-        n, yu, gu = self.n, y[undecided], g[undecided]
-        m, r, q = self.m[gu], self.r[gu], self.q[gu]
-        # numpy forms these four in float64 from n, m and y, not in int64:
-        # above 2**53 the two differ.
-        yf, mf = yu.astype(np.float64), m.astype(np.float64)
-        x1, f1 = yf + 1.0, mf + 1.0
-        z, w = float(n) + 1.0 - mf, float(n) - yf + 1.0
-        # Stirling's bound is the sum, left to right, of three logs times
-        # their coefficients and four correction terms.
-        args = np.stack([f1 / x1, z / w, w * r / (x1 * q)])
-        coefs = np.stack([self.xm[gu], (n - m).astype(np.float64) + 0.5,
-                          (yu - m).astype(np.float64)])
-        terms = np.concatenate([coefs * _fast_log(args), [_stirling(x) for x in (f1, z, x1, w)]])
-        bound = functools.reduce(np.add, terms)
-        a = big_a[undecided]
-        near = _near(a, bound, np.abs(a) + np.abs(terms).sum(axis=0))
-        # There A and all three logs come from libm.
-        a[near] = _log(v[undecided[near]])
-        terms[:3, near] = coefs[:, near] * _log(args[:, near])
-        bound[near] = functools.reduce(np.add, terms[:, near])
-        accepted[undecided] = ~(a > bound)
-        return accepted
 
 
 def _stirling(x: np.ndarray) -> np.ndarray:

@@ -386,6 +386,118 @@ MANY_STREAM_IDS = ["log1p", "int64-wrap", "float64-above-2**53", "float64-at-2**
 MANY_STREAM_SEEDS = np.arange(2**64 - 1024, 2**64, dtype=np.uint64)
 
 
+@pytest.fixture
+def fresh_samplers():
+    """No cached sampler, and so no threshold table, before or after the test."""
+    _binomial._samplers.cache_clear()
+    yield
+    _binomial._samplers.cache_clear()
+
+
+def c_log(v):
+    """C's ``log``: libm's value, -inf at 0 and nan below."""
+    return math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
+
+
+def c_stirling(x):
+    x2 = x * x
+    return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
+
+
+def c_product(term, y):
+    """Step 50's F: the product of the pmf ratios from m to y, in C's order."""
+    s = term.r / term.q
+    a = s * float(term.n + 1)
+    f = 1.0
+    for i in range(term.m + 1, y + 1):
+        f *= a / float(i) - s
+    for i in range(y + 1, term.m + 1):
+        f /= a / float(i) - s
+    return f
+
+
+def c_squeeze(term, y):
+    """Step 52's t - rho, t + rho and Stirling's bound at y.
+
+    numpy's build forms Stirling's x1, f1, z and w in float64.
+    """
+    n, m, r, q, nrq, xm = term.n, term.m, term.r, term.q, term.nrq, term.xm
+    k = abs(y - m)
+    rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
+    t = float((-k * k + 2**63) % 2**64 - 2**63) / (2 * nrq)  # int64, wrapping
+    x1, f1 = float(y) + 1.0, float(m) + 1.0
+    z, w = float(n) + 1.0 - float(m), float(n) - float(y) + 1.0
+    bound = (xm * c_log(f1 / x1) + (float(n - m) + 0.5) * c_log(z / w)
+             + float(y - m) * c_log(w * r / (x1 * q))
+             + c_stirling(f1) + c_stirling(z) + c_stirling(x1) + c_stirling(w))
+    return t - rho, t + rho, bound
+
+
+def takes_step_52(term, y):
+    k = abs(y - term.m)
+    return k > 20 and k < term.nrq / 2.0 - 1
+
+
+def c_accepts(term, y, v):
+    """numpy's BTPE steps 50 and 52 (``random_binomial_btpe``) for y and its v."""
+    if not takes_step_52(term, y):
+        return not v > c_product(term, y)
+    lower, upper, bound = c_squeeze(term, y)
+    big_a = c_log(v)
+    if big_a < lower:
+        return True
+    if big_a > upper:
+        return False
+    return not big_a > bound
+
+
+def v_with_log(target):
+    """A double v in (0, 1) whose libm log is exactly ``target``, or None."""
+    v = math.exp(target)
+    for _ in range(64):
+        x = math.log(v)
+        if x == target:
+            return v
+        v = math.nextafter(v, 0.0 if x > target else 1.0)
+    return None
+
+
+def tie_cases(term, offsets):
+    """(offset, v) pairs at and beside every threshold of steps 50 and 52.
+
+    Also counts the step-52 pairs whose log(v) is exactly t - rho with
+    Stirling's bound below it, and those whose log(v) is above t + rho with
+    a nan bound.
+    """
+    cases, on_lower_above_bound, above_nan_bound = [], 0, 0
+    for d in offsets:
+        y = term.m + d
+        vs = [0.0, -0.25, 0.5]
+        if takes_step_52(term, y):
+            lower, upper, bound = c_squeeze(term, y)
+            for target in (lower, upper, bound):
+                v = v_with_log(target) if math.isfinite(target) else None
+                if v is not None:
+                    vs += [v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)]
+                    on_lower_above_bound += target == lower and bound < lower
+            if math.isnan(bound):
+                v = math.exp(upper) * 1.001
+                vs.append(v)
+                above_nan_bound += c_log(v) > upper
+        else:
+            f = c_product(term, y)
+            vs += [f, math.nextafter(f, 0.0), math.nextafter(f, 1.0)]
+        cases += [(d, v) for v in vs]
+    return cases, on_lower_above_bound, above_nan_bound
+
+
+#: (n, r, nrq) of the threshold tests. The last raises nrq from 50 to 400, so
+#: that step 52 takes offsets where Stirling's bound lies below t - rho and,
+#: past y = n + 1, is nan (the log of a negative ratio); with its own nrq no
+#: candidate gets there.
+THRESHOLD_TERMS = [(1000, 0.3, None), (2**53 + 1, 1e-14, None), (200, 0.5, 400.0)]
+
+
 class TestBinomialPort:
     """The vectorised PCG64 and binomial port against numpy's own generators."""
 
@@ -449,12 +561,15 @@ class TestBinomialPort:
     @needs_port
     @pytest.mark.parametrize("error, band", [(2.0**-12, 2.0**-10), (2.0**-8, 2.0**-6)],
                              ids=["2**-12", "2**-8"])
-    def test_guard_band_absorbs_a_perturbed_log(self, monkeypatch, error, band):
+    def test_guard_band_absorbs_a_perturbed_log(self, monkeypatch, fresh_samplers, error, band):
         # A fast log off by a relative error far above numpy's draws numpy's
         # counts once the band covers that error: every decision it could
         # move is redone with libm's log. Without the band some draws differ.
-        # At 2**-12 only the tails' floors move; at 2**-8 the squeeze and
-        # Stirling's bound (both A and the bound's logs) move too.
+        # At 2**-12 only the tails' floors move; at 2**-8 step 52's decisions
+        # move too: log(v), and the threshold table entries, whose Stirling
+        # bounds take their logs from the perturbed log when the table is
+        # built. The tables are cached with their samplers, so the fixture
+        # drops them before and after.
         fast_log = _binomial._fast_log
         monkeypatch.setattr(_binomial, "_fast_log", lambda v: fast_log(v) * (1.0 - error))
         words = _seed_words(MANY_STREAM_SEEDS)
@@ -466,6 +581,78 @@ class TestBinomialPort:
         monkeypatch.setattr(_binomial, "_BAND", 0.0)
         assert any(not np.array_equal(_binomial.binomial(words, n, p), counts)
                    for (n, p), counts in zip(cases, expected))
+
+    @pytest.mark.parametrize("n, r, nrq", THRESHOLD_TERMS, ids=["1000", "2**53+1", "raised-nrq"])
+    def test_table_decides_as_c_at_the_ties(self, monkeypatch, n, r, nrq):
+        # Steps 50 and 52 from the table, from offsets past it and past its
+        # cap, against C's steps at and beside each threshold: v == F, log(v)
+        # on t - rho, t + rho and Stirling's bound, v == 0 and v < 0 (a nan
+        # log(v), which C accepts). The table keeps T from np.log, so each
+        # tie is decided by libm's log through the band.
+        def decide(sampler, cases):
+            d = np.array([d for d, _ in cases], dtype=np.int64)
+            v = np.array([v for _, v in cases])
+            return sampler._accepts(d, v, np.zeros(d.size, dtype=np.intp)).tolist()
+
+        def c_decisions(term, cases):
+            return [c_accepts(term, term.m + d, v) for d, v in cases]
+
+        def sampler_with(nrq):
+            sampler = _binomial._Btpe(n, [r])
+            if nrq is not None:
+                sampler.nrq[:] = sampler._terms[0].nrq = nrq
+            return sampler
+
+        sampler = sampler_with(nrq)
+        term = sampler._terms[0]
+        reach = 200 if nrq else 60
+        # Candidates lie in [0, n]; past n + 1 only with the raised nrq. At
+        # y = n + 1 (w = 0) Python's division would raise.
+        offsets = [d for d in range(-min(reach, term.m), reach + 1) if term.m + d != n + 1]
+        cases, on_lower, above_nan = tie_cases(term, offsets)
+        if nrq is not None:
+            assert on_lower and above_nan  # the cases that need nextafter and fmin
+        expected = c_decisions(term, cases)
+        assert decide(sampler, cases) == expected
+        assert sampler._reach.tolist() == [reach]  # the row grown to every offset
+        assert decide(sampler, cases) == expected  # now all gathered from it
+        # A table of half the reach, and the offsets past it built directly
+        # once the cap stops the row from growing.
+        monkeypatch.setattr(_binomial, "_TABLE_REACH", reach // 2)
+        sampler = sampler_with(nrq)
+        inner = [(d, v) for d, v in cases if abs(d) <= reach // 2]
+        assert decide(sampler, inner) == c_decisions(term, inner)
+        assert sampler._reach.tolist() == [reach // 2]
+        assert decide(sampler, cases) == expected
+        assert sampler._reach.tolist() == [reach // 2]
+        # Too few candidates for a table: all built at their own offsets.
+        monkeypatch.setattr(_binomial, "_TABLE_REACH", 4096)
+        sampler = sampler_with(nrq)
+        few = cases[::len(cases) // 50]
+        assert decide(sampler, few) == c_decisions(term, few)
+        assert sampler._reach.tolist() == [-1]
+
+    @needs_port
+    @pytest.mark.parametrize("n, p", [(1000, (0.1, 0.3, 0.3, 0.4)), (10**5, (0.5, 0.2, 0.5, 0.05))],
+                             ids=["1000", "1e5"])
+    def test_counts_do_not_depend_on_the_tables_history(self, monkeypatch, fresh_samplers, n, p):
+        # The same words draw numpy's counts with new tables, with tables a
+        # larger pass grew, and with the cap so small that every candidate
+        # past 8 from m takes its threshold built at its own offset.
+        words = _seed_words(MANY_STREAM_SEEDS)
+        expected = _numpy_counts(words, n, p)
+        np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+        r = tuple(min(x, 1.0 - x) for x in p)
+        sampler = [s for s, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
+        reach = sampler._reach.copy()
+        _binomial.binomial(_seed_words(np.arange(_PASS_SEEDS, dtype=np.uint64)), n, p)
+        assert (sampler._reach > reach).any()
+        np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+        monkeypatch.setattr(_binomial, "_TABLE_REACH", 8)
+        _binomial._samplers.cache_clear()
+        np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+        sampler = [s for s, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
+        assert sampler._reach.max() <= 8
 
     @needs_port
     @pytest.mark.parametrize("rounds, accepting", [(0, True), (1, True), (2, True), (2, False)],
