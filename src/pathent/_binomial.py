@@ -35,10 +35,9 @@ have reached: step 50's product F, or step 52's squeeze and Stirling's bound
 folded into one threshold T for ``log(v)``, built from ``np.log``. A round
 gathers its candidates' entries; those within ``_BAND`` of their entry,
 scaled per entry by ``log(v)`` and T's terms, have both recomputed from
-libm. A row grows to the reach of a round's candidates only if that takes no
-more entries than it has candidates in the round, and no more than
-``_TABLE_REACH`` on either side of m; candidates beyond the rows get their
-thresholds built the same way at their own offsets.
+libm. A row grows to the reach of a round's candidates unless that is more
+than ``_TABLE_REACH`` on either side of m; candidates beyond the rows get
+their thresholds built the same way at their own offsets.
 
 Both samplers restart from nothing but the RNG state after a rejection, so a
 draw is a sequence of masked rounds over the still-pending streams. The few
@@ -381,7 +380,7 @@ class _BtpeTerm:
         lamr = a * (1.0 + a / 2.0)
         p2 = p1 * (1.0 + 2.0 * c)
         p3 = p2 + c / laml
-        self.n, self.r, self.q, self.m, self.nrq = n, r, q, m, nf * r * q
+        self.r, self.q, self.m, self.nrq = r, q, m, nf * r * q
         self.p1, self.p2, self.p3, self.p4 = p1, p2, p3, p3 + c / lamr
         self.xm, self.xl, self.xr, self.c, self.laml, self.lamr = xm, xl, xr, c, laml, lamr
         self._s = r / q
@@ -405,7 +404,8 @@ class _BtpeTerm:
         return f
 
 
-#: Offsets from m that a threshold table reaches at most on either side.
+#: Offsets from m that a threshold table reaches at most on either side: a
+#: row holds at most 8193 pairs of float64, 131 KB.
 _TABLE_REACH = 4096
 
 
@@ -520,9 +520,8 @@ class _Btpe:
         rows = self._row[g]
         grown = False
         for row in np.flatnonzero(np.bincount(rows[outside])).tolist():
-            mine = rows == row
-            reach = int(k[mine].max())
-            if reach <= _TABLE_REACH and 2 * reach + 1 <= np.count_nonzero(mine):
+            reach = int(k[rows == row].max())
+            if reach <= _TABLE_REACH:
                 offsets = np.arange(-reach, reach + 1)
                 term = np.full(offsets.size, np.flatnonzero(self._row == row)[0])
                 self._rows[row] = self.thresholds(offsets, term, _fast_log)

@@ -404,10 +404,10 @@ def c_stirling(x):
     return (13680. - (462. - (132. - (99. - 140. / x2) / x2) / x2) / x2) / x / 166320.
 
 
-def c_product(term, y):
+def c_product(term, n, y):
     """Step 50's F: the product of the pmf ratios from m to y, in C's order."""
     s = term.r / term.q
-    a = s * float(term.n + 1)
+    a = s * float(n + 1)
     f = 1.0
     for i in range(term.m + 1, y + 1):
         f *= a / float(i) - s
@@ -416,12 +416,12 @@ def c_product(term, y):
     return f
 
 
-def c_squeeze(term, y):
+def c_squeeze(term, n, y):
     """Step 52's t - rho, t + rho and Stirling's bound at y.
 
     numpy's build forms Stirling's x1, f1, z and w in float64.
     """
-    n, m, r, q, nrq, xm = term.n, term.m, term.r, term.q, term.nrq, term.xm
+    m, r, q, nrq, xm = term.m, term.r, term.q, term.nrq, term.xm
     k = abs(y - m)
     rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / nrq + 0.5)
     t = float((-k * k + 2**63) % 2**64 - 2**63) / (2 * nrq)  # int64, wrapping
@@ -438,11 +438,11 @@ def takes_step_52(term, y):
     return k > 20 and k < term.nrq / 2.0 - 1
 
 
-def c_accepts(term, y, v):
+def c_accepts(term, n, y, v):
     """numpy's BTPE steps 50 and 52 (``random_binomial_btpe``) for y and its v."""
     if not takes_step_52(term, y):
-        return not v > c_product(term, y)
-    lower, upper, bound = c_squeeze(term, y)
+        return not v > c_product(term, n, y)
+    lower, upper, bound = c_squeeze(term, n, y)
     big_a = c_log(v)
     if big_a < lower:
         return True
@@ -462,7 +462,7 @@ def v_with_log(target):
     return None
 
 
-def tie_cases(term, offsets):
+def tie_cases(term, n, offsets):
     """(offset, v) pairs at and beside every threshold of steps 50 and 52.
 
     Also counts the step-52 pairs whose log(v) is exactly t - rho with
@@ -474,7 +474,7 @@ def tie_cases(term, offsets):
         y = term.m + d
         vs = [0.0, -0.25, 0.5]
         if takes_step_52(term, y):
-            lower, upper, bound = c_squeeze(term, y)
+            lower, upper, bound = c_squeeze(term, n, y)
             for target in (lower, upper, bound):
                 v = v_with_log(target) if math.isfinite(target) else None
                 if v is not None:
@@ -485,7 +485,7 @@ def tie_cases(term, offsets):
                 vs.append(v)
                 above_nan_bound += c_log(v) > upper
         else:
-            f = c_product(term, y)
+            f = c_product(term, n, y)
             vs += [f, math.nextafter(f, 0.0), math.nextafter(f, 1.0)]
         cases += [(d, v) for v in vs]
     return cases, on_lower_above_bound, above_nan_bound
@@ -595,7 +595,7 @@ class TestBinomialPort:
             return sampler._accepts(d, v, np.zeros(d.size, dtype=np.intp)).tolist()
 
         def c_decisions(term, cases):
-            return [c_accepts(term, term.m + d, v) for d, v in cases]
+            return [c_accepts(term, n, term.m + d, v) for d, v in cases]
 
         def sampler_with(nrq):
             sampler = _binomial._Btpe(n, [r])
@@ -609,7 +609,7 @@ class TestBinomialPort:
         # Candidates lie in [0, n]; past n + 1 only with the raised nrq. At
         # y = n + 1 (w = 0) Python's division would raise.
         offsets = [d for d in range(-min(reach, term.m), reach + 1) if term.m + d != n + 1]
-        cases, on_lower, above_nan = tie_cases(term, offsets)
+        cases, on_lower, above_nan = tie_cases(term, n, offsets)
         if nrq is not None:
             assert on_lower and above_nan  # the cases that need nextafter and fmin
         expected = c_decisions(term, cases)
@@ -625,12 +625,6 @@ class TestBinomialPort:
         assert sampler._reach.tolist() == [reach // 2]
         assert decide(sampler, cases) == expected
         assert sampler._reach.tolist() == [reach // 2]
-        # Too few candidates for a table: all built at their own offsets.
-        monkeypatch.setattr(_binomial, "_TABLE_REACH", 4096)
-        sampler = sampler_with(nrq)
-        few = cases[::len(cases) // 50]
-        assert decide(sampler, few) == c_decisions(term, few)
-        assert sampler._reach.tolist() == [-1]
 
     @needs_port
     @pytest.mark.parametrize("n, p", [(1000, (0.1, 0.3, 0.3, 0.4)), (10**5, (0.5, 0.2, 0.5, 0.05))],
