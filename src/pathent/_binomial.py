@@ -25,10 +25,11 @@ takes its logs from ``np.log`` and recomputes with ``math.log`` each floor or
 comparison that lies within ``_BAND`` of its threshold); C's int64
 wrap-around in ``-k * k``; and the terms ``n + 1 - m`` and ``n - y + 1`` of
 Stirling's bound, which numpy forms in float64, not int64. Each sampler's
-set-up is scalar Python arithmetic per term. n is at most ``2**62``: C's
-``n + 1`` wraps at ``2**63 - 1``.
+set-up is float64 array arithmetic with one row per distinct r, and each
+stream indexes its term's row. n is at most ``2**62``: C's ``n + 1`` wraps
+at ``2**63 - 1``.
 
-BTPE's steps 50 and 52 depend on a candidate only through its term, its
+BTPE's steps 50 and 52 depend on a candidate only through its r, its
 offset ``y - m`` and its v. Each BTPE sampler, cached by ``_samplers``,
 keeps a row per distinct r of thresholds over the offsets its candidates
 have reached: step 50's product F, or step 52's squeeze and Stirling's bound
@@ -328,9 +329,11 @@ def _tail_floor(base: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.floor(value).astype(np.int64)
 
 
-# The samplers. Each holds its set-up for a few terms as arrays along those
-# terms. ``round`` makes one attempt on every stream, ``g`` giving each
-# stream's term, and returns (accepted, counts of the accepted).
+# The samplers. Each holds its set-up as float64 arrays with one entry per
+# distinct r, computed in C's order: apart from the inversion's start, C's
+# set-up uses only + - * /, sqrt and floor, which float64 arrays round as C's
+# doubles do. ``round`` makes one attempt on every stream, ``g`` giving each
+# stream's row, and returns (accepted, counts of the accepted).
 
 class _Inversion:
     """numpy's ``random_binomial_inversion``: walk the pmf from 0 up to ``bound``."""
@@ -338,10 +341,10 @@ class _Inversion:
     def __init__(self, n: int, r: list[float]) -> None:
         self.n, self.r = n, np.array(r)
         self.q = 1.0 - self.r
-        self.qn = np.array([math.exp(float(n) * math.log1p(-p)) for p in r])
-        np_ = [float(n) * p for p in r]
-        bounds = [x + 10.0 * math.sqrt(x * (1.0 - p) + 1.0) for x, p in zip(np_, r)]
-        self.bound = np.array([int(min(float(n), bound)) for bound in bounds])
+        self.qn = np.array([math.exp(float(n) * math.log1p(-p)) for p in r])  # libm's, as C's
+        np_ = float(n) * self.r
+        bound = np.minimum(float(n), np_ + 10.0 * np.sqrt(np_ * self.q + 1.0))
+        self.bound = bound.astype(np.int64)
 
     def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = _next_double(streams)
@@ -362,48 +365,6 @@ class _Inversion:
         return accepted, x[accepted]
 
 
-class _BtpeTerm:
-    """BTPE's set-up for one (n, r), as scalar Python arithmetic in C's order."""
-
-    def __init__(self, n: int, r: float) -> None:
-        nf = float(n)
-        q = 1.0 - r
-        fm = nf * r + r
-        m = math.floor(fm)
-        p1 = math.floor(2.195 * math.sqrt(nf * r * q) - 4.6 * q) + 0.5
-        xm = m + 0.5
-        xl, xr = xm - p1, xm + p1
-        c = 0.134 + 20.5 / (15.3 + m)
-        a = (fm - xl) / (fm - xl * r)
-        laml = a * (1.0 + a / 2.0)
-        a = (xr - fm) / (xr * q)
-        lamr = a * (1.0 + a / 2.0)
-        p2 = p1 * (1.0 + 2.0 * c)
-        p3 = p2 + c / laml
-        self.r, self.q, self.m, self.nrq = r, q, m, nf * r * q
-        self.p1, self.p2, self.p3, self.p4 = p1, p2, p3, p3 + c / lamr
-        self.xm, self.xl, self.xr, self.c, self.laml, self.lamr = xm, xl, xr, c, laml, lamr
-        self._s = r / q
-        self._a = self._s * float(n + 1)
-
-    def products(self, d: np.ndarray) -> np.ndarray:
-        """Step 50's F at offsets ``d = y - m``: C's product of the pmf ratios from m to y.
-
-        Above m, F *= a / i - s from i = m + 1 to y: one running product.
-        Below, F /= a / i - s from i = y + 1 to m, a division chain per y.
-        """
-        below, above = -int(d.min(initial=0)), int(d.max(initial=0))
-        factors = self._a / np.arange(self.m - below + 1, self.m + above + 1) - self._s
-        f = np.ones(d.size)
-        up = d > 0
-        f[up] = np.cumprod(factors[below:])[d[up] - 1]
-        down = d < 0
-        ratios = factors[:below].tolist()  # i = m - below + 1 to m
-        f[down] = [functools.reduce(operator.truediv, ratios[below + x:], 1.0)
-                   for x in d[down].tolist()]
-        return f
-
-
 #: Offsets from m that a threshold table reaches at most on either side: a
 #: row holds at most 8193 pairs of float64, 131 KB.
 _TABLE_REACH = 4096
@@ -416,19 +377,37 @@ class _Btpe:
     """
 
     def __init__(self, n: int, r: list[float]) -> None:
-        self.n = n
-        distinct = list(dict.fromkeys(r))
-        self._terms = [_BtpeTerm(n, x) for x in distinct]
-        self._row = np.array([distinct.index(x) for x in r])  # each term's row
-        for name in ("r", "q", "m", "nrq", "p1", "p2", "p3", "p4",
-                     "xm", "xl", "xr", "c", "laml", "lamr"):
-            setattr(self, name, np.array([getattr(self._terms[i], name) for i in self._row]))
-        self._rows = [np.empty((2, 0))] * len(distinct)
+        nf = float(n)
+        self.n, self.r = n, np.array(r)
+        self.q = q = 1.0 - self.r
+        fm = nf * self.r + self.r
+        m = np.floor(fm)
+        self.m, self.nrq = m.astype(np.int64), nf * self.r * q
+        self.p1 = p1 = np.floor(2.195 * np.sqrt(self.nrq) - 4.6 * q) + 0.5
+        self.xm = xm = m + 0.5
+        self.xl, self.xr = xl, xr = xm - p1, xm + p1
+        self.c = c = 0.134 + 20.5 / (15.3 + m)
+        a = (fm - xl) / (fm - xl * self.r)
+        self.laml = laml = a * (1.0 + a / 2.0)
+        a = (xr - fm) / (xr * q)
+        self.lamr = lamr = a * (1.0 + a / 2.0)
+        self.p2 = p2 = p1 * (1.0 + 2.0 * c)
+        self.p3 = p3 = p2 + c / laml
+        self.p4 = p3 + c / lamr
+        # Step 50's ratios are a / i - s. Stirling's bound takes f1 = m + 1,
+        # z = n + 1 - m and n - m + 1/2, which numpy forms in float64, and the
+        # corrections of f1 and z.
+        self._s = self.r / q
+        self._a = self._s * float(n + 1)
+        self._f1_z = np.stack([m + 1.0, nf + 1.0 - m])
+        self._nm = (n - self.m).astype(np.float64) + 0.5
+        self._corrections = _stirling(self._f1_z)
+        self._rows = [np.empty((2, 0))] * len(r)
         self._lay_out()
 
     def thresholds(self, d: np.ndarray, g: np.ndarray, log: Callable[[np.ndarray], np.ndarray],
                    a: np.ndarray | None = None) -> np.ndarray:
-        """BTPE's threshold and its band scale for candidates y = m + d of terms g, as (2, d.size).
+        """BTPE's threshold and its band scale for candidates y = m + d of rows g, as (2, d.size).
 
         C accepts y at step 50 unless ``v > F``, F the product of the pmf
         ratios from m to y, and at step 52 unless ``log(v) > T``, the squeeze
@@ -447,15 +426,33 @@ class _Btpe:
             table = self._folded(d, k, g, log, a)
             value, scale = table
             fifty = np.flatnonzero(~((k > 20) & (k < self.nrq[g] / 2.0 - 1)))
-            rows = self._row[g[fifty]]
+            rows = g[fifty]
             for row in np.flatnonzero(np.bincount(rows)).tolist():
                 mine = fifty[rows == row]
-                value[mine], scale[mine] = self._terms[row].products(d[mine]), np.nan
+                value[mine], scale[mine] = self.products(row, d[mine]), np.nan
         return table
+
+    def products(self, row: int, d: np.ndarray) -> np.ndarray:
+        """Step 50's F at offsets ``d = y - m`` of a row: the product of the pmf ratios from m to y.
+
+        Above m, F *= a / i - s from i = m + 1 to y: one running product.
+        Below, F /= a / i - s from i = y + 1 to m, a division chain per y.
+        """
+        m, a, s = int(self.m[row]), self._a[row], self._s[row]
+        below, above = -int(d.min(initial=0)), int(d.max(initial=0))
+        factors = a / np.arange(m - below + 1, m + above + 1) - s
+        f = np.ones(d.size)
+        up = d > 0
+        f[up] = np.cumprod(factors[below:])[d[up] - 1]
+        down = d < 0
+        ratios = factors[:below].tolist()  # i = m - below + 1 to m
+        f[down] = [functools.reduce(operator.truediv, ratios[below + x:], 1.0)
+                   for x in d[down].tolist()]
+        return f
 
     def _folded(self, d: np.ndarray, k: np.ndarray, g: np.ndarray,
                 log: Callable[[np.ndarray], np.ndarray], a: np.ndarray | None) -> np.ndarray:
-        """Step 52's T and its scale at offsets d of terms g, ``k = |d|``, whatever step C takes.
+        """Step 52's T and its scale at offsets d of rows g, ``k = |d|``, whatever step C takes.
 
         Given each candidate's ``a = log(v)``, B is formed only where a lies
         within the band of [t - rho, t + rho]. Elsewhere the squeeze decides,
@@ -473,20 +470,20 @@ class _Btpe:
             if not at.size:
                 return table
             d, t, rho, g = d[at], t[at], rho[at], g[at]
-        n, m, r, q = self.n, self.m[g], self.r[g], self.q[g]
-        # numpy forms these four in float64 from n, m and y, not in int64:
-        # above 2**53 the two differ.
-        yf, mf = (m + d).astype(np.float64), m.astype(np.float64)
-        x1, f1 = yf + 1.0, mf + 1.0
-        z, w = float(n) + 1.0 - mf, float(n) - yf + 1.0
+        # numpy forms x1 and w, as f1 and z, in float64 from n, m and y, not
+        # in int64: above 2**53 the two differ.
+        yf = (self.m[g] + d).astype(np.float64)
+        x1, w = yf + 1.0, float(self.n) - yf + 1.0
+        f1, z = self._f1_z[:, g]
         # Stirling's bound is the sum, left to right, of three logs times
         # their coefficients and four correction terms.
         terms = np.empty((7, d.size))
-        terms[:3] = log(np.stack([f1 / x1, z / w, w * r / (x1 * q)]))
+        terms[:3] = log(np.stack([f1 / x1, z / w, w * self.r[g] / (x1 * self.q[g])]))
         terms[0] *= self.xm[g]
-        terms[1] *= (n - m).astype(np.float64) + 0.5
+        terms[1] *= self._nm[g]
         terms[2] *= d
-        terms[3:] = _stirling(np.stack([f1, z, x1, w]))
+        terms[3:5] = self._corrections[:, g]
+        terms[5:] = _stirling(np.stack([x1, w]))
         folded = np.maximum(np.fmin(upper[at], functools.reduce(np.add, terms)),
                             np.nextafter(t - rho, -np.inf))
         size = np.abs(folded)  # a nan bound leaves T = t + rho, which holds no log
@@ -494,7 +491,7 @@ class _Btpe:
         return table
 
     def _lay_out(self) -> None:
-        """Join the rows into one table and index each term's offset 0 and reach in it.
+        """Join the rows into one table and index each row's offset 0 and reach in it.
 
         Column 0 of the table is a placeholder for candidates outside the rows.
         """
@@ -504,11 +501,10 @@ class _Btpe:
         self._table = np.concatenate([np.zeros((2, 1)), *self._rows], axis=1)
         # The rows become views of the table, so each entry is held once.
         self._rows = [self._table[:, end - width:end] for end, width in zip(ends, widths)]
-        self._start = (ends - widths + reach)[self._row]
-        self._reach = reach[self._row]
+        self._start, self._reach = ends - widths + reach, reach
 
     def _lookup(self, d: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``thresholds`` from ``_fast_log`` for candidates y = m + d of terms g, given log(v).
+        """``thresholds`` from ``_fast_log`` for candidates y = m + d of rows g, given log(v).
 
         From the table where it reaches, else built for each candidate.
         """
@@ -517,14 +513,12 @@ class _Btpe:
         index = self._start[g] + d
         if not outside.any():
             return self._table.take(index, axis=1)
-        rows = self._row[g]
         grown = False
-        for row in np.flatnonzero(np.bincount(rows[outside])).tolist():
-            reach = int(k[rows == row].max())
+        for row in np.flatnonzero(np.bincount(g[outside])).tolist():
+            reach = int(k[g == row].max())
             if reach <= _TABLE_REACH:
                 offsets = np.arange(-reach, reach + 1)
-                term = np.full(offsets.size, np.flatnonzero(self._row == row)[0])
-                self._rows[row] = self.thresholds(offsets, term, _fast_log)
+                self._rows[row] = self.thresholds(offsets, np.full(offsets.size, row), _fast_log)
                 grown = True
         if grown:
             self._lay_out()
@@ -541,7 +535,7 @@ class _Btpe:
         return table
 
     def _accepts(self, d: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Steps 50 and 52: whether C accepts each candidate y = m + d of term g, given v."""
+        """Steps 50 and 52: whether C accepts each candidate y = m + d of row g, given v."""
         a = _fast_log(v)
         threshold, scale = self._lookup(d, g, a)
         x = np.where(scale >= 0.0, a, v)  # step 52 compares log(v), step 50 v
@@ -626,15 +620,22 @@ def _stirling(x: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _samplers(n: int, r: tuple[float, ...]) -> list[tuple[_Inversion | _Btpe, list[int]]]:
-    """The sampler numpy's ``random_binomial`` picks for each r, with its terms.
+def _samplers(n: int, r: tuple[float, ...]
+              ) -> list[tuple[_Inversion | _Btpe, list[int], np.ndarray]]:
+    """The sampler numpy's ``random_binomial`` picks for each r, with its terms and their rows.
 
-    Terms with r = 0 draw nothing and get no sampler.
+    A sampler holds one row per distinct r. Terms with r = 0 draw nothing
+    and get no sampler.
     """
     inversion = [t for t, x in enumerate(r) if 0.0 < x and x * float(n) <= 30.0]
     btpe = [t for t, x in enumerate(r) if x * float(n) > 30.0]
-    return [(kind(n, [r[t] for t in terms]), terms)
-            for kind, terms in ((_Inversion, inversion), (_Btpe, btpe)) if terms]
+    samplers = []
+    for kind, terms in ((_Inversion, inversion), (_Btpe, btpe)):
+        if terms:
+            distinct = list(dict.fromkeys(r[t] for t in terms))
+            rows = np.array([distinct.index(r[t]) for t in terms])
+            samplers.append((kind(n, distinct), terms, rows))
+    return samplers
 
 
 def binomial(words: np.ndarray, n: int, p: Sequence[float],
@@ -649,8 +650,8 @@ def binomial(words: np.ndarray, n: int, p: Sequence[float],
     flip = p > 0.5
     r = np.where(flip, 1.0 - p, p)
     counts = np.zeros(words.shape[:2], dtype=np.int64)
-    for sampler, terms in _samplers(n, tuple(r.tolist())):
-        g = np.tile(np.arange(len(terms)), len(words))
+    for sampler, terms, rows in _samplers(n, tuple(r.tolist())):
+        g = np.tile(rows, len(words))
         if len(terms) == len(p):  # no copies: the sampler draws into counts
             _rounds(sampler, words.reshape(-1, 4), g, stragglers, counts.reshape(-1))
         else:

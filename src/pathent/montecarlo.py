@@ -57,13 +57,16 @@ def _checked_seed(value: object) -> object:
 def _seed_array(seed: object) -> np.ndarray:
     """``seed`` as a uint64 array: 0-d for one integer, 1-d for a sequence.
 
-    A sequence is a range, list, tuple or 1-d array. A range whose first and
-    last seeds are in bounds holds only valid seeds and is built as uint64
-    array arithmetic, exact up to ``2**64 - 1``. Other sequences are checked
-    element by element in order, so a long range fails at its first bad seed
-    without being built.
+    A sequence is a range, list, tuple or 1-d array. A range from a valid
+    seed is built as uint64 array arithmetic, exact up to ``2**64 - 1``, or
+    fails at its first seed past ``2**64 - 1`` or below 0, found by range
+    arithmetic however far it lies. Other sequences are checked element by
+    element in order, so a range from a bad seed fails at once.
     """
-    if isinstance(seed, range) and seed and all(0 <= s < _MAX_SEED for s in (seed[0], seed[-1])):
+    if isinstance(seed, range) and seed and 0 <= seed[0] < _MAX_SEED:
+        valid = range(seed[0], _MAX_SEED if seed.step > 0 else -1, seed.step)
+        if seed[-1] not in valid:
+            _checked_seed(valid[-1] + seed.step)
         count = (seed[-1] - seed[0]) // seed.step + 1
         if count > _MAX_RANGE:
             raise ValueError(f"seed range must hold at most {_MAX_RANGE} seeds, got {count}")

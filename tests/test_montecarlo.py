@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +316,33 @@ class TestBatchedSeeding:
             McConfig(seed=range(-2, 10**30), trials_per_setting=10,
                      settings=bell_angle_settings(UNIT_VISIBILITY))
 
+    def test_range_fails_at_a_far_bad_seed_without_walking_to_it(self):
+        # Each range's first bad seed lies 2**62 or more seeds from its start,
+        # which a seed-by-seed walk would never reach, so a child process
+        # with a time limit checks them. The reported seed is in the range,
+        # out of bounds, and one step after an in-bounds seed. mc-bell's
+        # --num-seeds 2**64 + 1 from seed 0 exits 3 with the same message.
+        ranges = [(0, 2**64 + 1, 1), (7, 2**70, 3), (2**64 - 1, -2**64, -5), (2**63, -10, -1)]
+        code = ("from pathent import cli; from pathent.montecarlo import _seed_array\n"
+                f"for start, stop, step in {ranges!r}:\n"
+                "    try:\n"
+                "        _seed_array(range(start, stop, step))\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n"
+                f"print(cli.run(['mc-bell', '--num-seeds', '{2**64 + 1}']))")
+        env = {**os.environ, "PYTHONPATH": str(Path(pathent.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True, timeout=10)
+        *errors, exit_code = result.stdout.splitlines()
+        assert len(errors) == len(ranges) and exit_code == "3"
+        for (start, stop, step), error in zip(ranges, errors):
+            bad = int(error.rpartition(" ")[2])
+            assert error == f"seed must be a 64-bit unsigned integer, got {bad}"
+            assert bad in range(start, stop, step)
+            assert not 0 <= bad < 2**64 and 0 <= bad - step < 2**64
+        assert result.stderr == ("pathent: invalid configuration: seed must be a 64-bit "
+                                 f"unsigned integer, got {2**64}\n")
+
     @pytest.mark.parametrize(
         "seeds",
         [range(5), range(2**64 - 3000, 2**64), range(2**64 - 1, 2**64 - 3001, -1),
@@ -491,11 +519,14 @@ def tie_cases(term, n, offsets):
     return cases, on_lower_above_bound, above_nan_bound
 
 
-#: (n, r, nrq) of the threshold tests. The last raises nrq from 50 to 400, so
+#: (n, r, nrq) of the threshold tests. The third raises nrq from 50 to 400, so
 #: that step 52 takes offsets where Stirling's bound lies below t - rho and,
 #: past y = n + 1, is nan (the log of a negative ratio); with its own nrq no
-#: candidate gets there.
-THRESHOLD_TERMS = [(1000, 0.3, None), (2**53 + 1, 1e-14, None), (200, 0.5, 400.0)]
+#: candidate gets there. In the last, at offset -21, Stirling's bound lies
+#: within the squeeze, and its sum moves by an ulp if its four correction
+#: terms are not added in C's order.
+THRESHOLD_TERMS = [(1000, 0.3, None), (2**53 + 1, 1e-14, None), (200, 0.5, 400.0),
+                   (1850, 0.06724059159375972, None)]
 
 
 class TestBinomialPort:
@@ -582,7 +613,8 @@ class TestBinomialPort:
         assert any(not np.array_equal(_binomial.binomial(words, n, p), counts)
                    for (n, p), counts in zip(cases, expected))
 
-    @pytest.mark.parametrize("n, r, nrq", THRESHOLD_TERMS, ids=["1000", "2**53+1", "raised-nrq"])
+    @pytest.mark.parametrize("n, r, nrq", THRESHOLD_TERMS,
+                             ids=["1000", "2**53+1", "raised-nrq", "1850"])
     def test_table_decides_as_c_at_the_ties(self, monkeypatch, n, r, nrq):
         # Steps 50 and 52 from the table, from offsets past it and past its
         # cap, against C's steps at and beside each threshold: v == F, log(v)
@@ -600,11 +632,12 @@ class TestBinomialPort:
         def sampler_with(nrq):
             sampler = _binomial._Btpe(n, [r])
             if nrq is not None:
-                sampler.nrq[:] = sampler._terms[0].nrq = nrq
+                sampler.nrq[:] = nrq
             return sampler
 
         sampler = sampler_with(nrq)
-        term = sampler._terms[0]
+        term = SimpleNamespace(**{name: getattr(sampler, name)[0].item()
+                                  for name in ("r", "q", "m", "nrq", "xm")})
         reach = 200 if nrq else 60
         # Candidates lie in [0, n]; past n + 1 only with the raised nrq. At
         # y = n + 1 (w = 0) Python's division would raise.
@@ -637,7 +670,7 @@ class TestBinomialPort:
         expected = _numpy_counts(words, n, p)
         np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
         r = tuple(min(x, 1.0 - x) for x in p)
-        sampler = [s for s, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
+        sampler = [s for s, _, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
         reach = sampler._reach.copy()
         _binomial.binomial(_seed_words(np.arange(_PASS_SEEDS, dtype=np.uint64)), n, p)
         assert (sampler._reach > reach).any()
@@ -645,7 +678,7 @@ class TestBinomialPort:
         monkeypatch.setattr(_binomial, "_TABLE_REACH", 8)
         _binomial._samplers.cache_clear()
         np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
-        sampler = [s for s, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
+        sampler = [s for s, _, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
         assert sampler._reach.max() <= 8
 
     @needs_port
