@@ -217,13 +217,19 @@ def _run_mc_bell(cfg: RunConfig) -> _Table:
 #: Detector pairs evaluated per pass of path-check: each pass takes
 #: max(1, _PATH_CHECK_PAIRS // grid_points) rows of the grid, so its working
 #: memory is a few arrays of about this many values whatever --grid-points is.
-_PATH_CHECK_PAIRS = 2**14
+#: In perfbench's loop on the 120 x 120 grid (seeds 131, 207, 311 and 523),
+#: one pass of 2**14 pairs faulted in 197 pages per warm invocation, as glibc
+#: handed its freed arrays back to the OS, and took 1.52-1.56 ms. Two passes
+#: of 8000, 10000, 11000 or 12288 pairs faulted in none and took 1.39-1.56 ms;
+#: 2**13 pairs (none) took 1.52-1.67 ms, 2**12 (none, four passes) 1.61-1.67.
+_PATH_CHECK_PAIRS = 8000
 
 
 def _squared_modulus(z: np.ndarray) -> np.ndarray:
     # |z|**2 as Python computes it: hypot, then libm pow. np.abs and
     # x*x each differ from that in the last bit for some inputs.
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+    h = np.hypot(z.real, z.imag)
+    return np.float_power(h, 2.0, out=h)
 
 
 def _run_path_check(cfg: RunConfig) -> _Table:
@@ -247,8 +253,10 @@ def _run_path_check(cfg: RunConfig) -> _Table:
     for first in range(0, angles.size, rows):
         det1 = DetectorSetting(xi=angles[first:first + rows, np.newaxis])
         operator_g2 = _squared_modulus(two_photon_amplitude(geometry, det1, det2, params))
-        path_g2 = scale * _squared_modulus(final_amplitude(phase_at(geometry, det1), phi2))
-        deviation = max(deviation, float(np.max(np.abs(path_g2 - operator_g2))))
+        path_g2 = _squared_modulus(final_amplitude(phase_at(geometry, det1), phi2))
+        path_g2 *= scale
+        path_g2 -= operator_g2
+        deviation = max(deviation, float(np.abs(path_g2, out=path_g2).max()))
 
     rank = schmidt_rank(postselected_state())
     return "max_abs_deviation=%.17g schmidt_rank=%d\n" % (deviation / scale, rank), ()

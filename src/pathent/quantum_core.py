@@ -28,6 +28,8 @@ from .geometry import DetectorSetting, EmitterPair, phase_at
 _SQRT2 = math.sqrt(2.0)
 #: Exclusive upper bound on e0: the G2 scale e0**4 overflows from here on.
 _E0_LIMIT = sys.float_info.max ** 0.25
+#: Operands that ``_product`` multiplies with numpy; others are Python numbers.
+_NUMPY_TYPES = (np.ndarray, np.generic)
 
 
 class Atom(Enum):
@@ -36,13 +38,35 @@ class Atom(Enum):
 
 
 def _product(a: complex | np.ndarray, b: complex | np.ndarray) -> complex | np.ndarray:
-    """Complex product a*b, rounded as Python rounds it for scalars.
+    """Complex product a*b as CPython computes it for two complex numbers.
 
-    numpy's vectorized complex multiply may fuse multiply-adds, so for long
-    arrays it can differ from the scalar product in the last bit. Spelled
-    out in real arithmetic, every element is rounded the same way.
+    The real part is ``ar*br - ai*bi`` and the imaginary part ``ar*bi +
+    ai*br``, each product rounded on its own, so every element equals the
+    Python product bit for bit, signed zeros included. numpy's vectorized
+    complex multiply may fuse multiply-adds and differ in the last bit.
+    Two Python numbers give a Python complex; numpy scalars and 0-d arrays
+    a numpy complex. The parts of an array product are written straight
+    into its result.
     """
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if not isinstance(a, _NUMPY_TYPES) and not isinstance(b, _NUMPY_TYPES):
+        return complex(ar * br - ai * bi, ar * bi + ai * br)
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), complex)
+    np.subtract(np.multiply(ar, br, out=out.real), ai * bi, out=out.real)
+    np.add(np.multiply(ar, bi, out=out.imag), ai * br, out=out.imag)
+    return out if out.ndim else out[()]
+
+
+def _is_finite(value: complex | np.ndarray) -> bool:
+    """Whether a scalar, or every element of an array, is finite.
+
+    A Python complex or float is checked by ``math.isfinite`` on its parts:
+    ``np.isfinite(...).all()`` costs microseconds on a scalar, and the
+    operators check many scalar ``0j`` amplitudes.
+    """
+    if type(value) in (complex, float):  # not their numpy subclasses
+        return math.isfinite(value.real) and math.isfinite(value.imag)
+    return bool(np.isfinite(value).all())
 
 
 @dataclass(frozen=True)
@@ -75,7 +99,7 @@ class AtomicState:
 
     def __post_init__(self) -> None:
         for name in ("amp_ee", "amp_eg", "amp_ge", "amp_gg"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not _is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     @classmethod
@@ -112,7 +136,7 @@ class AtomicState:
         annihilates are, stays that scalar: its product would be a signed
         zero of the factor's shape, equal to it in every modulus.
         """
-        if not np.isfinite(factor).all():
+        if not _is_finite(factor):
             raise ValueError("factor must be finite")
         return AtomicState(*(
             amp if type(amp) is complex and not amp else _product(factor, amp)

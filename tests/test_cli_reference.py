@@ -217,13 +217,15 @@ def test_path_check(**options):
     dict(kd=7.3, e0=1e-76, grid_points=20),
     dict(kd=12.5, e0=1.15e77, grid_points=13),
     dict(kd=0.3, e0=2.0, grid_points=3),
+    dict(kd=9.1, e0=0.7, grid_points=150),
 ])
 def test_path_check_bytes_do_not_depend_on_the_pass_size(monkeypatch, options):
     # 1 and 7 pairs take one row per pass, except 7 at grid 3 (rows 2, 1);
     # 64 pairs take 1, 3, 4 and 21 rows, so grids 20 and 13 end in a partial
-    # pass; 2**14 takes each grid in one pass.
+    # pass; 2**14 and the shipped size take each grid up to 40 in one pass,
+    # and grid 150 in two (109 and 41 rows) and three (53, 53 and 44 rows).
     outputs = set()
-    for pairs in (1, 7, 64, 2**14):
+    for pairs in (1, 7, 64, 2**14, cli._PATH_CHECK_PAIRS):
         monkeypatch.setattr(cli, "_PATH_CHECK_PAIRS", pairs)
         outputs.add(cli_output("path-check", options))
     assert len(outputs) == 1

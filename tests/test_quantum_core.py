@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pathent.correlations import UNIT_VISIBILITY, g2_at_phase
 from pathent.geometry import (
@@ -30,6 +31,9 @@ AT_ZERO = DetectorSetting(xi=0.0)
 
 phases = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
 complexes = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+# Parts small enough that no product overflows, signed zeros drawn often.
+parts = st.sampled_from([0.0, -0.0]) | st.floats(min_value=-1e100, max_value=1e100)
+signed_complexes = st.builds(complex, parts, parts)
 
 
 def det_at_phase(phase):
@@ -143,6 +147,59 @@ class TestTwoPhotonAmplitude:
         assert abs(large) == pytest.approx(9.0 * abs(small), rel=1e-12)
 
 
+def reference_product(a, b):
+    """CPython's complex product in Python floats, part by part."""
+    return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def bits(z):
+    """The bit patterns of the parts of every element, flattened."""
+    return np.asarray(z, dtype=complex).reshape(-1).view(np.uint64)
+
+
+class TestProduct:
+    @given(a=signed_complexes | parts, b=signed_complexes)
+    def test_python_scalars_equal_the_reference_bit_for_bit(self, a, b):
+        got = _product(a, b)
+        assert type(got) is complex
+        assert np.array_equal(bits(got), bits(reference_product(a, b)))
+
+    @given(data=st.data(), shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3))
+    def test_arrays_equal_the_reference_bit_for_bit(self, data, shapes):
+        a, b = (data.draw(hnp.arrays(complex, shape, elements=signed_complexes))
+                for shape in shapes.input_shapes)
+        got = _product(a, b)
+        left, right = np.broadcast_arrays(a, b)
+        expected = [reference_product(x, y)
+                    for x, y in zip(left.ravel().tolist(), right.ravel().tolist())]
+        assert np.shape(got) == shapes.result_shape
+        assert np.array_equal(bits(got), bits(expected))
+
+    @given(factor=parts, amp=hnp.arrays(complex, st.integers(1, 5), elements=signed_complexes))
+    def test_float_factor_equals_the_reference_bit_for_bit(self, factor, amp):
+        # A Python float is the complex (factor, 0.0), as scaled(e0 / sqrt 2) uses it.
+        expected = [reference_product(factor, y) for y in amp.tolist()]
+        assert np.array_equal(bits(_product(factor, amp)), bits(expected))
+
+    @pytest.mark.parametrize("a, b, kind", [
+        (1 + 2j, 3 - 1j, complex),
+        (2.0, 1 + 1j, complex),
+        (1 + 1j, 2.0, complex),
+        (3, 1j, complex),
+        (np.complex128(1 + 2j), 3j, np.complex128),
+        (np.float64(2.0), 1j, np.complex128),
+        (np.array(1 + 2j), 3j, np.complex128),
+        (np.array(1 + 2j), np.array(2.0), np.complex128),
+        (np.array([1j]), 2.0, np.ndarray),
+    ])
+    def test_result_type(self, a, b, kind):
+        # Python numbers give a Python complex, numpy scalars and 0-d arrays a
+        # numpy complex, arrays an array.
+        got = _product(a, b)
+        assert type(got) is kind
+        assert np.all(got == reference_product(np.asarray(a).item(), np.asarray(b).item()))
+
+
 class TestAtomicState:
     def test_norm_and_flag(self):
         assert AtomicState.excited().norm_squared == 1.0
@@ -156,6 +213,33 @@ class TestAtomicState:
     def test_scaled_rejects_non_finite_factor(self, factor):
         with pytest.raises(ValueError, match="factor must be finite"):
             AtomicState().scaled(factor)
+
+    @pytest.mark.parametrize("value", [
+        complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 1.0),
+        complex(1.0, math.nan), math.inf, math.nan,
+        np.complex128(complex(0.0, math.nan)), np.float64(-math.inf), np.array(complex(math.nan, 0.0)),
+        np.array([1.0, math.nan, 2.0]), np.array([[0j, complex(0.0, math.inf)]]),
+    ], ids=repr)
+    def test_every_kind_of_non_finite_value_is_rejected(self, value):
+        with pytest.raises(ValueError, match="amp_gg must be finite"):
+            AtomicState(amp_gg=value)
+        with pytest.raises(ValueError, match="factor must be finite"):
+            AtomicState.excited().scaled(value)
+
+    @pytest.mark.parametrize("value", [
+        complex(-0.0, 1e308), 2.5, 7, np.complex128(1j), np.float64(-3.0),
+        np.array(complex(0.0, 1.0)), np.array([1.0, 2.0]),
+    ], ids=repr)
+    def test_every_kind_of_finite_value_is_accepted(self, value):
+        assert AtomicState(amp_gg=value).amp_gg is value
+        AtomicState.excited().scaled(value)
+
+    @pytest.mark.parametrize("value", ["1.0", None, object(), 10**400])
+    def test_non_numeric_value_raises_type_error(self, value):
+        with pytest.raises(TypeError, match="isfinite"):
+            AtomicState(amp_ee=value)
+        with pytest.raises(TypeError, match="isfinite"):
+            AtomicState().scaled(value)
 
     def test_scaled_ground_state_rejects_nan(self):
         with pytest.raises(ValueError):
