@@ -23,11 +23,11 @@ every decision BTPE takes from a log (``np.log`` may be a SIMD routine whose
 last bit differs from libm on a fraction of a percent of inputs, so BTPE
 takes its logs from ``np.log`` and recomputes with ``math.log`` each floor or
 comparison that lies within ``_BAND`` of its threshold); C's int64
-wrap-around in ``-k * k``; and the terms ``n + 1 - m`` and ``n - y + 1`` of
+wrap-around in ``-k * k`` and in step 50's ``n + 1``, which is ``-2**63`` at
+``n = 2**63 - 1``; and the terms ``n + 1 - m`` and ``n - y + 1`` of
 Stirling's bound, which numpy forms in float64, not int64. Each sampler's
 set-up is float64 array arithmetic with one row per distinct r, and each
-stream indexes its term's row. n is at most ``2**62``: C's ``n + 1`` wraps
-at ``2**63 - 1``.
+stream indexes its term's row.
 
 BTPE's steps 50 and 52 depend on a candidate only through its r, its
 offset ``y - m`` and its v. Each BTPE sampler, cached by ``_samplers``,
@@ -45,10 +45,10 @@ draw is a sequence of masked rounds over the still-pending streams. The few
 streams left after some rounds are redrawn by numpy from their seed words:
 it replays the rejected attempts and reaches the same count. Numpy also
 draws, one generator per stream, a pass of fewer than ``_PORT_STREAMS``
-streams or with n above ``2**62``, and every pass once ``port_agrees`` finds
-the port differing from numpy on fixed probes: numpy's stream-compatibility
-policy (NEP 19) fixes the hash and the bit generator but lets ``binomial``
-change between numpy releases.
+streams and every pass once ``port_agrees`` finds the port differing from
+numpy on fixed probes: numpy's stream-compatibility policy (NEP 19) fixes the
+hash and the bit generator but lets ``binomial`` change between numpy
+releases.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ _TERMS = 4
 #: Seeds hashed and drawn per pass of ``counts``: 2**14 streams, which bounds
 #: the working set whatever the number of seeds.
 _PASS_SEEDS = 2**14 // _TERMS
-#: A pass of fewer streams, or a sample size above 2**62, is drawn by numpy
-#: one stream at a time instead of by the vectorised port.
+#: A pass of fewer streams is drawn by numpy one stream at a time instead of
+#: by the vectorised port.
 _PORT_STREAMS = 256
-_PORT_MAX_TRIALS = 2**62
 #: Rounds of the port before the pending streams are left to numpy.
 _ROUNDS = 8
 #: Pending streams few enough to leave to numpy without another round. A
@@ -90,7 +89,7 @@ def counts(seeds: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
     drawn = np.empty((seeds.size, _TERMS), dtype=np.int64)
     for first in range(0, seeds.size, _PASS_SEEDS):
         words = _seed_words(seeds[first:first + _PASS_SEEDS])
-        if words.shape[0] * _TERMS >= _PORT_STREAMS and n <= _PORT_MAX_TRIALS and port_agrees():
+        if words.shape[0] * _TERMS >= _PORT_STREAMS and port_agrees():
             drawn[first:first + _PASS_SEEDS] = binomial(words, int(n), p)
         else:
             drawn[first:first + _PASS_SEEDS] = _numpy_counts(words, n, p)
@@ -104,10 +103,8 @@ _XSHIFT = np.uint32(16)
 
 
 def _constant_chain(init: int, mult: int, calls: int) -> np.ndarray:
-    chain = [init]
-    for _ in range(calls):
-        chain.append(chain[-1] * mult & _MASK32)
-    return np.array(chain, dtype=np.uint32)
+    factors = np.array([init] + [mult] * calls, dtype=np.uint32)
+    return np.multiply.accumulate(factors, dtype=np.uint32)  # without dtype, a uint64 product
 
 
 #: mix_entropy hashes 4 pool words, 12 cross-mixes and the spawn key into 4 words.
@@ -394,11 +391,12 @@ class _Btpe:
         self.p2 = p2 = p1 * (1.0 + 2.0 * c)
         self.p3 = p3 = p2 + c / laml
         self.p4 = p3 + c / lamr
-        # Step 50's ratios are a / i - s. Stirling's bound takes f1 = m + 1,
-        # z = n + 1 - m and n - m + 1/2, which numpy forms in float64, and the
-        # corrections of f1 and z.
+        # Step 50's ratios are a / i - s, a = s * (n + 1) with C's int64 n + 1,
+        # which wraps to -2**63 at n = 2**63 - 1. Stirling's bound takes
+        # f1 = m + 1, z = n + 1 - m and n - m + 1/2, which numpy forms in
+        # float64, and the corrections of f1 and z.
         self._s = self.r / q
-        self._a = self._s * float(n + 1)
+        self._a = self._s * float((n + 1 + 2**63) % 2**64 - 2**63)
         self._f1_z = np.stack([m + 1.0, nf + 1.0 - m])
         self._nm = (n - self.m).astype(np.float64) + 0.5
         self._corrections = _stirling(self._f1_z)
@@ -642,7 +640,7 @@ def binomial(words: np.ndarray, n: int, p: Sequence[float],
              stragglers: int = _STRAGGLERS) -> np.ndarray:
     """numpy's (seeds, terms) counts for (seeds, terms, 4) seed words, p per term.
 
-    ``n`` is a Python int in [1, 2**62]. Numpy draws a sampler's streams
+    ``n`` is a Python int in [1, 2**63 - 1]. Numpy draws a sampler's streams
     once no more than ``stragglers`` of them are pending, before the first
     round too; at 0 the port's rounds run on every stream.
     """
@@ -688,13 +686,15 @@ def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray,
 #: sides of p = 0.5 and at n = 1e15, p = 1e-14 (where log(1 - p) would
 #: differ), and BTPE at sizes whose draws reach its tails and Stirling's bound.
 #: The last two start where a draw takes Stirling's bound above 2**53 (where
-#: its float64 terms differ from int64 ones) and where C's -k * k wraps.
+#: its float64 terms differ from int64 ones) and where C's -k * k wraps, at
+#: n = 2**63 - 1, where C's n + 1 wraps too: a numpy built without these
+#: wraps sends every pass to numpy.
 #: A probe's sampler groups hold at most 128 streams, no more than
 #: ``_STRAGGLERS``, so the probes draw with a cutoff of 0: numpy alone would
 #: draw them otherwise, and the check would compare numpy with itself.
 _PROBES = ((10**15, (1e-14, 2e-14), 0), (20, (0.2, 0.93, 0.0, 1.0), 0),
            (1000, (0.3, 0.75, 0.05), 0), (10**6, (0.5,), 0),
-           (2**53 + 1, (0.25, 1e-14), 512), (2**62, (0.5, 1e-17), 1024))
+           (2**53 + 1, (0.25, 1e-14), 512), (2**63 - 1, (0.5, 1e-17), 1024))
 _PROBE_SEEDS = 32
 
 

@@ -64,20 +64,19 @@ def _masks() -> np.ndarray:
     ``point`` is the digit the point follows (_NO_POINT for none) and ``n``
     the number of digits up to the last nonzero one. Mantissa word w is
     ``(d & a) | (u & b) | c`` for parts (a, b, c), where d holds the digits,
-    one byte each, and u the same one byte up.
+    one byte each, and u the same one byte up. Built as uint8 bytes
+    ``[part, word, point, n, byte]``, so that no temporary is large.
     """
-    masks = np.zeros((3, 3, 18 * (_NO_POINT + 1)), dtype=_WORD)
-    for point in range(_NO_POINT + 1):
-        for n in range(18):
-            # Digits before the point are printed even when zero.
-            shown = n if point == _NO_POINT else max(n, point + 1)
-            before = point + 1 if point < shown - 1 else shown
-            parts = (sum(0xFF << 8 * i for i in range(before)),
-                     sum(0xFF << 8 * i for i in range(before + 1, shown + 1)),
-                     ord(".") << 8 * before if before < shown else 0)
-            for part, bits in enumerate(parts):
-                masks[part, :, 18 * point + n] = [bits >> 64 * w & 2**64 - 1 for w in range(3)]
-    return masks
+    point = np.arange(_NO_POINT + 1, dtype=np.uint8)[:, np.newaxis, np.newaxis]
+    n = np.arange(18, dtype=np.uint8)[:, np.newaxis]
+    # Digits before the point are printed even when zero.
+    shown = np.where(point == _NO_POINT, n, np.maximum(n, point + 1))
+    before = np.where(point + 1 < shown, point + 1, shown)
+    byte = np.arange(24, dtype=np.uint8).reshape(3, 1, 1, 8)  # [word, point, n, byte]
+    ff, dot = np.uint8(0xFF), np.uint8(ord("."))
+    parts = np.stack([(byte < before) * ff, ((byte > before) & (byte <= shown)) * ff,
+                      ((byte == before) & (before < shown)) * dot])
+    return parts.view(_WORD).reshape(3, 3, -1)
 
 
 _POINTS, _LEADS, _EXPONENTS = _by_exponent()
@@ -121,11 +120,9 @@ def _leading() -> np.ndarray:
     The integer's 20 digit bytes, right-aligned in three words (24 bytes),
     keep the last d; the leading zeros before them become NULs.
     """
-    masks = np.zeros((3, 20), dtype=_WORD)
-    for d in range(1, 21):
-        shown = sum(0xFF << 8 * i for i in range(24 - d, 24))
-        masks[:, d - 1] = [shown >> 64 * w & 2**64 - 1 for w in range(3)]
-    return masks
+    d = np.arange(1, 21, dtype=np.uint8)[:, np.newaxis]
+    byte = np.arange(24, dtype=np.uint8).reshape(3, 1, 8)  # [word, d, byte]
+    return ((byte >= 24 - d) * np.uint8(0xFF)).view(_WORD).reshape(3, 20)
 
 
 _LEADING = _leading()

@@ -5,10 +5,11 @@
 Draws random (n, p) sets from the port's regimes until the time budget is
 spent: inversion, both sides of its ``r * n = 30`` edge, BTPE from n = 1e2 to
 1e9 (through the threshold table rows and, past ``_TABLE_REACH``, the
-thresholds built at their own offsets), p within 1e-9 of 0.5, tiny p at n
-up to ``2**62``, and n within a few of ``2**53`` and of ``2**62``. Each set
-draws 64 random seeds times four terms, and ``binomial(words, n, p,
-stragglers=0)`` must equal ``_numpy_counts``, one numpy generator per stream.
+thresholds built at their own offsets), p within 1e-9 of 0.5 and tiny p at n
+up to ``2**63 - 1``, and n within a few of ``2**53``, of ``2**62`` and of
+``2**63 - 1``, where C's int64 ``n + 1`` wraps. Each set draws 64 random
+seeds times four terms, and ``binomial(words, n, p, stragglers=0)`` must
+equal ``_numpy_counts``, one numpy generator per stream.
 
 It prints its seed first, so that a failure can be replayed with ``--seed``,
 and the failing set in full. It exits 1 at the first mismatch and 0 once the
@@ -40,7 +41,7 @@ def log_uniform(rng: random.Random, low: float, high: float) -> float:
 
 
 def sample_size(rng: random.Random, low: float, high: float) -> int:
-    return max(1, min(int(log_uniform(rng, low, high)), 2**62))
+    return max(1, min(int(log_uniform(rng, low, high)), 2**63 - 1))
 
 
 def flipped(rng: random.Random, r: list[float]) -> list[float]:
@@ -76,17 +77,18 @@ def btpe(rng: random.Random) -> tuple[int, list[float]]:
 
 
 def half(rng: random.Random) -> tuple[int, list[float]]:
-    n = sample_size(rng, 1e2, 2**62)
+    n = sample_size(rng, 1e2, 2**63 - 1)
     return n, [0.5 + rng.uniform(-1e-9, 1e-9) * (rng.random() < 0.9) for _ in range(4)]
 
 
 def tiny(rng: random.Random) -> tuple[int, list[float]]:
-    n = sample_size(rng, 1e6, 2**62)
+    n = sample_size(rng, 1e6, 2**63 - 1)
     return n, flipped(rng, [log_uniform(rng, 1e-2, 1e3) / n for _ in range(4)])
 
 
 def near_powers(rng: random.Random) -> tuple[int, list[float]]:
-    n = rng.choice([2**53 + rng.randint(-4, 4), 2**62 - rng.randint(0, 4)])
+    n = rng.choice([2**53 + rng.randint(-4, 4), 2**62 + rng.randint(-4, 4),
+                    2**63 - 1 - rng.randint(0, 4)])
     return n, flipped(rng, [log_uniform(rng, 1e-18, 0.5) for _ in range(4)])
 
 

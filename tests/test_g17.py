@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from pathent import cli
+from pathent import _g17, cli
 
 #: Row counts around the cutoff below which ``%`` renders a block, and around
 #: the block size.
@@ -188,3 +188,39 @@ def test_constant_fields(text, place, rows):
                np.arange(rows) % 3 == 0]
     columns.insert(place, text)
     assert_columns_match_percent(columns)
+
+
+def _loop_masks():
+    """``_g17._masks`` built one (point, n) column at a time from Python ints."""
+    masks = np.zeros((3, 3, 18 * (_g17._NO_POINT + 1)), dtype=np.uint64)
+    for point in range(_g17._NO_POINT + 1):
+        for n in range(18):
+            # Digits before the point are printed even when zero.
+            shown = n if point == _g17._NO_POINT else max(n, point + 1)
+            before = point + 1 if point < shown - 1 else shown
+            parts = (sum(0xFF << 8 * i for i in range(before)),
+                     sum(0xFF << 8 * i for i in range(before + 1, shown + 1)),
+                     ord(".") << 8 * before if before < shown else 0)
+            for part, bits in enumerate(parts):
+                masks[part, :, 18 * point + n] = [bits >> 64 * w & 2**64 - 1 for w in range(3)]
+    return masks
+
+
+def _loop_leading():
+    """``_g17._leading`` built one digit count at a time from Python ints."""
+    masks = np.zeros((3, 20), dtype=np.uint64)
+    for d in range(1, 21):
+        shown = sum(0xFF << 8 * i for i in range(24 - d, 24))
+        masks[:, d - 1] = [shown >> 64 * w & 2**64 - 1 for w in range(3)]
+    return masks
+
+
+@pytest.mark.parametrize("table, reference", [(_g17._MASKS, _loop_masks),
+                                              (_g17._LEADING, _loop_leading)],
+                         ids=["masks", "leading"])
+def test_tables_equal_loop_builders(table, reference):
+    # The array-built tables hold the loops' words, in C order, which
+    # np.take reads without a copy.
+    expected = reference()
+    assert table.dtype == np.dtype("<u8") and table.flags.c_contiguous
+    np.testing.assert_array_equal(table, expected)

@@ -389,10 +389,12 @@ def edge_probabilities(n):
 #: (seed, term, n, p) and the count numpy's ``binomial`` draws there, on its
 #: branches: inversion below and above p = 0.5 and at n = 1e15, BTPE's left
 #: and right tails, its squeeze and Stirling's bound, a draw near the mode,
-#: and C's wrapped -k * k at n = 2**62.
+#: C's wrapped -k * k at n = 2**62, and step 50 with C's wrapped n + 1 at
+#: n = 2**63 - 1 (without the wrap, 85 instead of 93).
 NUMPY_PINS = [((0, 1, 20, 0.2), 5), ((0, 2, 20, 0.93), 18), ((0, 3, 10**15, 1e-14), 9),
               ((0, 0, 1000, 0.3), 263), ((33, 0, 1000, 0.3), 344), ((1, 0, 1000, 0.3), 279),
-              ((3, 0, 1000, 0.3), 312), ((19, 0, 2**62, 0.5), 2305843012989448192)]
+              ((3, 0, 1000, 0.3), 312), ((19, 0, 2**62, 0.5), 2305843012989448192),
+              ((5, 2, 2**63 - 1, 1e-17), 93)]
 #: Whether this numpy draws the pinned counts. Only numpy decides: the port is
 #: then required to agree with it, so a broken port fails these tests instead
 #: of turning them off through its own canary.
@@ -409,8 +411,10 @@ MANY_STREAM_CASES = [(10**15, (1e-14, 2e-14, 1e-14, 1 - 1e-14)),
                      (2**62, (0.5, 0.25, 0.75, 0.4)),
                      (2**53 + 1, (1e-14, 2e-14, 5e-15, 1 - 1e-14)),
                      (2**62, (1e-17, 2e-17, 1e-16, 1 - 1e-17)),
+                     (2**63 - 1, (1e-17, 2e-17, 1e-16, 1 - 1e-17)),
                      (1000, (0.1, 0.3, 0.2, 0.4))]
-MANY_STREAM_IDS = ["log1p", "int64-wrap", "float64-above-2**53", "float64-at-2**62", "btpe"]
+MANY_STREAM_IDS = ["log1p", "int64-wrap", "float64-above-2**53", "float64-at-2**62",
+                   "n+1-wrap", "btpe"]
 MANY_STREAM_SEEDS = np.arange(2**64 - 1024, 2**64, dtype=np.uint64)
 
 
@@ -435,7 +439,7 @@ def c_stirling(x):
 def c_product(term, n, y):
     """Step 50's F: the product of the pmf ratios from m to y, in C's order."""
     s = term.r / term.q
-    a = s * float(n + 1)
+    a = s * float((n + 1 + 2**63) % 2**64 - 2**63)  # int64, wrapping
     f = 1.0
     for i in range(term.m + 1, y + 1):
         f *= a / float(i) - s
@@ -524,9 +528,10 @@ def tie_cases(term, n, offsets):
 #: past y = n + 1, is nan (the log of a negative ratio); with its own nrq no
 #: candidate gets there. In the last, at offset -21, Stirling's bound lies
 #: within the squeeze, and its sum moves by an ulp if its four correction
-#: terms are not added in C's order.
+#: terms are not added in C's order. In the fifth, step 50's n + 1 wraps to
+#: -2**63.
 THRESHOLD_TERMS = [(1000, 0.3, None), (2**53 + 1, 1e-14, None), (200, 0.5, 400.0),
-                   (1850, 0.06724059159375972, None)]
+                   (1850, 0.06724059159375972, None), (2**63 - 1, 1e-17, None)]
 
 
 class TestBinomialPort:
@@ -562,19 +567,18 @@ class TestBinomialPort:
 
     @pytest.mark.parametrize("n", TRIALS)
     def test_sampler_edges_equal_numpy(self, n):
-        # 64 seeds x 4 terms reach the port's cutoff; n = 2**63 - 1 is above
-        # the port's range and drawn by numpy: there C's n + 1 wraps, and
-        # the port's BTPE product test would differ once a sampler holds
-        # more streams than the straggler cutoff. The port runs with its
+        # 64 seeds x 4 terms reach the port's cutoff. The port runs with its
         # straggler cutoff and with a cutoff of 0, which takes every sampler
-        # through its rounds.
+        # through its rounds, at every n: at n = 2**63 - 1, where C's n + 1
+        # wraps, its BTPE product test draws numpy's counts only because the
+        # port wraps n + 1 too.
         seeds = [0, 2**64 - 1, *range(1, _PORT_STREAMS // 4 - 1)]
         seed_array = np.array(seeds, dtype=np.uint64)
         words = _seed_words(seed_array)
         for p in edge_probabilities(n):
             expected = numpy_counts(seeds, n, p)
             np.testing.assert_array_equal(_binomial.counts(seed_array, n, p), expected)
-            if n <= 2**62 and NUMPY_AS_PINNED:
+            if NUMPY_AS_PINNED:
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
                                               expected)
@@ -584,7 +588,8 @@ class TestBinomialPort:
     def test_many_streams_equal_numpy(self, n, p):
         # Rare branches, each seen in a few of these 4096 streams:
         # exp(n * log1p(-p)) at n = 1e15, the wrapped int64 -k * k of BTPE's
-        # squeeze at n = 2**62, and Stirling's bound, whose n + 1 - m and
+        # squeeze at n = 2**62, the wrapped n + 1 of its step 50 at
+        # n = 2**63 - 1, and Stirling's bound, whose n + 1 - m and
         # n - y + 1 numpy forms in float64, at n above 2**53 and n * p ~ 100.
         words = _seed_words(MANY_STREAM_SEEDS)
         np.testing.assert_array_equal(_binomial.binomial(words, n, p), _numpy_counts(words, n, p))
@@ -614,7 +619,7 @@ class TestBinomialPort:
                    for (n, p), counts in zip(cases, expected))
 
     @pytest.mark.parametrize("n, r, nrq", THRESHOLD_TERMS,
-                             ids=["1000", "2**53+1", "raised-nrq", "1850"])
+                             ids=["1000", "2**53+1", "raised-nrq", "1850", "2**63-1"])
     def test_table_decides_as_c_at_the_ties(self, monkeypatch, n, r, nrq):
         # Steps 50 and 52 from the table, from offsets past it and past its
         # cap, against C's steps at and beside each threshold: v == F, log(v)
@@ -699,24 +704,37 @@ class TestBinomialPort:
                                           numpy_counts(seeds, n, p))
 
     @needs_port
-    @pytest.mark.parametrize("sampler", ["_Inversion", "_Btpe"])
-    def test_canary_sees_a_changed_sampler(self, monkeypatch, sampler):
+    @pytest.mark.parametrize("sampler", ["_Inversion", "_Btpe", "unwrapped-n+1"])
+    def test_canary_sees_a_changed_sampler(self, monkeypatch, fresh_samplers, sampler):
         # A port that no longer draws numpy's counts fails port_agrees, even
-        # though every probe group is small enough to leave to numpy.
-        round_ = getattr(_binomial, sampler).round
+        # though every probe group is small enough to leave to numpy: a round
+        # off by one, or a BTPE set-up whose step 50 takes n + 1 = 2**63 at
+        # n = 2**63 - 1, where C's int64 wraps it to -2**63.
+        if sampler == "unwrapped-n+1":
+            init = _binomial._Btpe.__init__
 
-        def off_by_one(self, streams, g):
-            accepted, drawn = round_(self, streams, g)
-            return accepted, drawn + 1
+            def unwrapped(self, n, r):
+                init(self, n, r)
+                self._a = self._s * float(n + 1)
 
-        monkeypatch.setattr(getattr(_binomial, sampler), "round", off_by_one)
+            monkeypatch.setattr(_binomial._Btpe, "__init__", unwrapped)
+        else:
+            round_ = getattr(_binomial, sampler).round
+
+            def off_by_one(self, streams, g):
+                accepted, drawn = round_(self, streams, g)
+                return accepted, drawn + 1
+
+            monkeypatch.setattr(getattr(_binomial, sampler), "round", off_by_one)
         _binomial.port_agrees.cache_clear()
         try:
             assert not _binomial.port_agrees()
         finally:
             # Refilled here, so that a failing canary leaves the next test
-            # the unpatched port's verdict, not an empty cache.
+            # the unpatched port's verdict, not an empty cache; the samplers
+            # the patched set-up built are dropped first.
             monkeypatch.undo()
+            _binomial._samplers.cache_clear()
             _binomial.port_agrees.cache_clear()
             agrees = _binomial.port_agrees()
         assert agrees
