@@ -31,14 +31,15 @@ stream indexes its term's row.
 
 BTPE's steps 50 and 52 depend on a candidate only through its r, its
 offset ``y - m`` and its v. Each BTPE sampler, cached by ``_samplers``,
-keeps a row per distinct r of thresholds over the offsets its candidates
-have reached: step 50's product F, or step 52's squeeze and Stirling's bound
-folded into one threshold T for ``log(v)``, built from ``np.log``. A round
-gathers its candidates' entries; those within ``_BAND`` of their entry,
-scaled per entry by ``log(v)`` and T's terms, have both recomputed from
-libm. A row grows to the reach of a round's candidates unless that is more
-than ``_TABLE_REACH`` on either side of m; candidates beyond the rows get
-their thresholds built the same way at their own offsets.
+reserves at set-up a row per distinct r, a fixed window of the offsets within
+``_TABLE_REACH`` of m, and fills it with thresholds as candidates reach them:
+step 50's product F, or step 52's squeeze and Stirling's bound folded into
+one threshold T for ``log(v)``, built from ``np.log``. A round gathers its
+candidates' entries; those within ``_BAND`` of their entry, scaled per entry
+by ``log(v)`` and T's terms, have both recomputed from libm. A row is built
+out to the reach of a round's candidates unless that is more than
+``_TABLE_REACH`` on either side of m; candidates beyond the rows get their
+thresholds built the same way at their own offsets.
 
 Both samplers restart from nothing but the RNG state after a rejection, so a
 draw is a sequence of masked rounds over the still-pending streams. The few
@@ -362,15 +363,15 @@ class _Inversion:
         return accepted, x[accepted]
 
 
-#: Offsets from m that a threshold table reaches at most on either side: a
-#: row holds at most 8193 pairs of float64, 131 KB.
+#: Offsets from m that a threshold row reaches on either side: a fixed window
+#: of 8193 pairs of float64 (131 KB), reserved at set-up and filled as reached.
 _TABLE_REACH = 4096
 
 
 class _Btpe:
     """numpy's ``random_binomial_btpe`` for ``r <= 0.5`` and ``n * r > 30``.
 
-    Steps 50 and 52 take thresholds from a table with one row per distinct r.
+    Steps 50 and 52 take thresholds from a table with one window per distinct r.
     """
 
     def __init__(self, n: int, r: list[float]) -> None:
@@ -400,8 +401,11 @@ class _Btpe:
         self._f1_z = np.stack([m + 1.0, nf + 1.0 - m])
         self._nm = (n - self.m).astype(np.float64) + 0.5
         self._corrections = _stirling(self._f1_z)
-        self._rows = [np.empty((2, 0))] * len(r)
-        self._lay_out()
+        # Row i's window has offset 0 at column _start[i] and is built out to
+        # _reach[i] on both sides, -1 before its first entry.
+        width = 2 * _TABLE_REACH + 1
+        self._table = np.empty((2, len(r) * width))
+        self._start, self._reach = np.arange(len(r)) * width + _TABLE_REACH, np.full(len(r), -1)
 
     def thresholds(self, d: np.ndarray, g: np.ndarray, log: Callable[[np.ndarray], np.ndarray],
                    a: np.ndarray | None = None) -> np.ndarray:
@@ -488,19 +492,6 @@ class _Btpe:
         value[at], scale[at] = folded, np.fmax(size + np.abs(terms).sum(axis=0), size)
         return table
 
-    def _lay_out(self) -> None:
-        """Join the rows into one table and index each row's offset 0 and reach in it.
-
-        Column 0 of the table is a placeholder for candidates outside the rows.
-        """
-        widths = np.array([row.shape[1] for row in self._rows])
-        ends = np.cumsum(widths) + 1
-        reach = (widths - 1) // 2  # -1 for an empty row
-        self._table = np.concatenate([np.zeros((2, 1)), *self._rows], axis=1)
-        # The rows become views of the table, so each entry is held once.
-        self._rows = [self._table[:, end - width:end] for end, width in zip(ends, widths)]
-        self._start, self._reach = ends - widths + reach, reach
-
     def _lookup(self, d: np.ndarray, g: np.ndarray, a: np.ndarray) -> np.ndarray:
         """``thresholds`` from ``_fast_log`` for candidates y = m + d of rows g, given log(v).
 
@@ -511,25 +502,24 @@ class _Btpe:
         index = self._start[g] + d
         if not outside.any():
             return self._table.take(index, axis=1)
-        grown = False
         for row in np.flatnonzero(np.bincount(g[outside])).tolist():
             reach = int(k[g == row].max())
             if reach <= _TABLE_REACH:
                 offsets = np.arange(-reach, reach + 1)
-                self._rows[row] = self.thresholds(offsets, np.full(offsets.size, row), _fast_log)
-                grown = True
-        if grown:
-            self._lay_out()
-            outside = k > self._reach[g]
-            index = self._start[g] + d
-        outside = np.flatnonzero(outside)
-        if outside.size == d.size:
+                offsets = offsets[np.abs(offsets) > self._reach[row]]  # not built yet
+                self._table[:, self._start[row] + offsets] = self.thresholds(
+                    offsets, np.full(offsets.size, row), _fast_log)
+                self._reach[row] = reach
+        outside = k > self._reach[g]
+        if outside.all():
             return self.thresholds(d, g, _fast_log, a)
-        index[outside] = 0
+        index[outside] = index[outside.argmin()]  # a built column, overwritten below
         table = self._table.take(index, axis=1)
-        value, scale = table
-        value[outside], scale[outside] = self.thresholds(d[outside], g[outside], _fast_log,
-                                                         a[outside])
+        outside = np.flatnonzero(outside)
+        if outside.size:
+            value, scale = table
+            value[outside], scale[outside] = self.thresholds(d[outside], g[outside], _fast_log,
+                                                             a[outside])
         return table
 
     def _accepts(self, d: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -701,9 +691,12 @@ _PROBE_SEEDS = 32
 @functools.cache
 def port_agrees() -> bool:
     """Whether the port draws numpy's counts on fixed probes; checked once."""
-    for n, p, first in _PROBES:
-        words = np.arange(first, first + _PROBE_SEEDS * len(p) * 4, dtype=np.uint64)
-        words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4)
-        if not np.array_equal(binomial(words, n, p, stragglers=0), _numpy_counts(words, n, p)):
-            return False
-    return True
+    try:
+        for n, p, first in _PROBES:
+            words = np.arange(first, first + _PROBE_SEEDS * len(p) * 4, dtype=np.uint64)
+            words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4)
+            if not np.array_equal(binomial(words, n, p, stragglers=0), _numpy_counts(words, n, p)):
+                return False
+        return True
+    finally:
+        _samplers.cache_clear()  # the probes' reserved threshold rows go with the check

@@ -9,14 +9,18 @@ thresholds built at their own offsets), p within 1e-9 of 0.5 and tiny p at n
 up to ``2**63 - 1``, and n within a few of ``2**53``, of ``2**62`` and of
 ``2**63 - 1``, where C's int64 ``n + 1`` wraps. Each set draws 64 random
 seeds times four terms, and ``binomial(words, n, p, stragglers=0)`` must
-equal ``_numpy_counts``, one numpy generator per stream.
+equal ``_numpy_counts``, one numpy generator per stream. The port's draws
+(``port_draw``) allow ``PORT_ROUNDS`` (64) rounds instead of ``_ROUNDS``
+before the streams still pending go to numpy: none may get there, or the
+comparison would check numpy against itself.
 
 It prints its seed first, so that a failure can be replayed with ``--seed``,
-and the failing set in full. It exits 1 at the first mismatch and 0 once the
-budget is spent. Where numpy draws other counts than ``NUMPY_PINS`` (its
-binomial changed, and the port may be unused) it prints a skip message and
-exits 0. The file sits outside tier-1 collection: its name matches no test
-pattern.
+and the failing set in full. It exits 1 at the first mismatch; once the
+budget is spent, it prints how many streams reached numpy after the rounds
+and exits 1 if any did, 0 otherwise. Where numpy draws other counts than
+``NUMPY_PINS`` (its binomial changed, and the port may be unused) it prints a
+skip message and exits 0. The file sits outside tier-1 collection: its name
+matches no test pattern.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import time
 
 import numpy as np
 
-from pathent._binomial import _numpy_counts, _seed_words, binomial
-from test_montecarlo import NUMPY_AS_PINNED
+from pathent._binomial import _numpy_counts, _seed_words
+from test_montecarlo import NUMPY_AS_PINNED, PORT_ROUNDS, port_draw
 
 SEEDS = 64
 
@@ -109,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(seed)
     sets = {regime.__name__: 0 for regime in REGIMES}
     port_s = numpy_s = 0.0
+    handed = 0
     start = time.perf_counter()
     while time.perf_counter() - start < args.seconds:
         regime = rng.choice(REGIMES)
@@ -116,12 +121,13 @@ def main(argv: list[str] | None = None) -> int:
         seeds = np.array([rng.getrandbits(64) for _ in range(SEEDS)], dtype=np.uint64)
         words = _seed_words(seeds)
         t0 = time.perf_counter()
-        drawn = binomial(words, n, p, stragglers=0)
+        drawn, handed_now = port_draw(words, n, p)
         t1 = time.perf_counter()
         expected = _numpy_counts(words, n, p)
         port_s += t1 - t0
         numpy_s += time.perf_counter() - t1
         sets[regime.__name__] += 1
+        handed += handed_now
         if not np.array_equal(drawn, expected):
             seed_at, term = np.argwhere(drawn != expected)[0]
             print(f"MISMATCH in set {sum(sets.values())} ({regime.__name__}): n = {n}, "
@@ -130,8 +136,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     total = sum(sets.values())
     print(f"{total} sets, {total * SEEDS * 4} streams in {time.perf_counter() - start:.1f} s "
-          f"(port {port_s:.1f} s, numpy {numpy_s:.1f} s), no mismatch; sets per regime: {sets}")
-    return 0
+          f"(port {port_s:.1f} s, numpy {numpy_s:.1f} s), no mismatch, {handed} streams "
+          f"handed to numpy after {PORT_ROUNDS} rounds; sets per regime: {sets}")
+    return 1 if handed else 0
 
 
 if __name__ == "__main__":

@@ -426,6 +426,28 @@ def fresh_samplers():
     _binomial._samplers.cache_clear()
 
 
+#: Rounds the port-equality draws allow before the streams still pending go to
+#: numpy: more than any stream takes. After ``_ROUNDS`` (8), a port sweep left
+#: 53 of 2 980 352 streams to numpy, which then checked numpy against itself.
+PORT_ROUNDS = 64
+
+
+def port_draw(words, n, p):
+    """``binomial(words, n, p, stragglers=0)`` with ``PORT_ROUNDS`` rounds, and the
+    number of streams that still reached ``_numpy_counts`` during the draw."""
+    handed = []
+    numpy_draw = _binomial._numpy_counts
+
+    def counted(words, *args):
+        handed.append(words.size // 4)
+        return numpy_draw(words, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_binomial, "_ROUNDS", PORT_ROUNDS)
+        patch.setattr(_binomial, "_numpy_counts", counted)
+        return _binomial.binomial(words, n, p, stragglers=0), sum(handed)
+
+
 def c_log(v):
     """C's ``log``: libm's value, -inf at 0 and nan below."""
     return math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
@@ -562,8 +584,9 @@ class TestBinomialPort:
         words = _seed_words(np.array(seeds, dtype=np.uint64))
         # At most 32 streams per sampler, fewer than the straggler cutoff:
         # without a cutoff of 0 numpy would draw them all.
-        np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
-                                      numpy_counts(seeds, n, p))
+        drawn, handed = port_draw(words, n, p)
+        assert handed == 0
+        np.testing.assert_array_equal(drawn, numpy_counts(seeds, n, p))
 
     @pytest.mark.parametrize("n", TRIALS)
     def test_sampler_edges_equal_numpy(self, n):
@@ -580,8 +603,9 @@ class TestBinomialPort:
             np.testing.assert_array_equal(_binomial.counts(seed_array, n, p), expected)
             if NUMPY_AS_PINNED:
                 np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
-                np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
-                                              expected)
+                drawn, handed = port_draw(words, n, p)
+                assert handed == 0
+                np.testing.assert_array_equal(drawn, expected)
 
     @needs_port
     @pytest.mark.parametrize("n,p", MANY_STREAM_CASES, ids=MANY_STREAM_IDS)
@@ -663,6 +687,33 @@ class TestBinomialPort:
         assert sampler._reach.tolist() == [reach // 2]
         assert decide(sampler, cases) == expected
         assert sampler._reach.tolist() == [reach // 2]
+
+    def test_row_grown_in_steps_equals_one_build(self):
+        # A row grown to 10, then 60, then 200 from m, across step 50's
+        # |d| <= 20 band and into both of its tails past nrq / 2 - 1 = 104,
+        # builds each entry once and holds, bit for bit, what one build of
+        # all 401 offsets gives: step 50's running product runs left to right
+        # from m, whatever offsets it is asked for.
+        sampler = _binomial._Btpe(1000, [0.3])
+        built = []
+        thresholds = sampler.thresholds
+        sampler.thresholds = lambda d, *args: built.append(d.size) or thresholds(d, *args)
+        for d in (10, -60, 200):
+            sampler._lookup(np.array([d]), np.zeros(1, dtype=np.intp), np.zeros(1))
+        assert built == [21, 100, 280] and sampler._reach.tolist() == [200]
+        offsets = np.arange(-200, 201)
+        expected = thresholds(offsets, np.zeros(offsets.size, dtype=np.intp), _binomial._fast_log)
+        assert np.isnan(expected[1, [0, 96, 180, 200, 220, 304, 400]]).all()  # step 50's F
+        assert not np.isnan(expected[1, [140, 260]]).any()  # step 52's T
+        start = int(sampler._start[0])
+        assert sampler._table[:, start - 200:start + 201].tobytes() == expected.tobytes()
+
+    def test_canary_drops_its_samplers(self, fresh_samplers):
+        # The probes' samplers, and the threshold rows reserved with them, do
+        # not outlive the check.
+        _binomial.port_agrees.cache_clear()
+        _binomial.port_agrees()
+        assert _binomial._samplers.cache_info().currsize == 0
 
     @needs_port
     @pytest.mark.parametrize("n, p", [(1000, (0.1, 0.3, 0.3, 0.4)), (10**5, (0.5, 0.2, 0.5, 0.05))],
