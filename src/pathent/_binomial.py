@@ -4,9 +4,11 @@ Seeds in, counts out: ``counts(seeds, n, p)`` takes a 1-d uint64 array of
 seeds and one probability per term, and returns the (seeds, terms) counts
 that numpy's ``default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))``
 draws with ``.binomial(n, p[t])``. It hashes the seeds in passes, numpy's
-``SeedSequence`` as uint32 array arithmetic, and ``binomial(words, n, p)``
-draws a pass from its seed words by a port of numpy's C code to uint64 and
-float64 arrays:
+``SeedSequence`` as uint32 array arithmetic, into (4, terms, seeds) words:
+one row per word numpy's PCG64 takes, so that each term's streams lie
+contiguous. ``binomial(words, n, p)`` seeds those words in place into the
+streams' states and draws the pass by a port of numpy's C code to uint64
+and float64 arrays:
 
 - PCG64 (O'Neill 2014): ``pcg64_set_seed`` takes the words as the 128-bit
   ``[hi, lo]`` state and sequence, ``inc = seq << 1 | 1``, and steps twice;
@@ -42,14 +44,15 @@ out to the reach of a round's candidates unless that is more than
 thresholds built the same way at their own offsets.
 
 Both samplers restart from nothing but the RNG state after a rejection, so a
-draw is a sequence of masked rounds over the still-pending streams. The few
-streams left after some rounds are redrawn by numpy from their seed words:
-it replays the rejected attempts and reaches the same count. Numpy also
-draws, one generator per stream, a pass of fewer than ``_PORT_STREAMS``
-streams and every pass once ``port_agrees`` finds the port differing from
-numpy on fixed probes: numpy's stream-compatibility policy (NEP 19) fixes the
-hash and the bit generator but lets ``binomial`` change between numpy
-releases.
+draw is a sequence of masked rounds over the still-pending streams, which
+are compacted after each round. Numpy draws on the few streams left after
+some rounds, each from its current PCG64 state: it makes the attempts after
+the port's rejected ones and reaches the count it draws from the seed
+words. Numpy also draws from the seed words, one generator per stream, a
+pass of fewer than ``_PORT_STREAMS`` streams and every pass once
+``port_agrees`` finds the port differing from numpy on fixed probes: numpy's
+stream-compatibility policy (NEP 19) fixes the hash and the bit generator
+but lets ``binomial`` change between numpy releases.
 """
 
 from __future__ import annotations
@@ -87,14 +90,12 @@ def counts(seeds: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
     ``n`` is an integer in [1, 2**63 - 1] and ``p`` holds one probability for
     each of the ``_TERMS`` terms.
     """
-    drawn = np.empty((seeds.size, _TERMS), dtype=np.int64)
+    drawn = np.empty((_TERMS, seeds.size), dtype=np.int64)
     for first in range(0, seeds.size, _PASS_SEEDS):
         words = _seed_words(seeds[first:first + _PASS_SEEDS])
-        if words.shape[0] * _TERMS >= _PORT_STREAMS and port_agrees():
-            drawn[first:first + _PASS_SEEDS] = binomial(words, int(n), p)
-        else:
-            drawn[first:first + _PASS_SEEDS] = _numpy_counts(words, n, p)
-    return drawn
+        draw = binomial if words[0].size >= _PORT_STREAMS and port_agrees() else _numpy_counts
+        drawn[:, first:first + _PASS_SEEDS] = draw(words, int(n), p).T
+    return drawn.T
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe) as uint32 array arithmetic. Its
@@ -142,13 +143,13 @@ _TERM_HASHES = _hashmix(np.arange(_TERMS, dtype=np.uint32), 16, 4).T[:, :, np.ne
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4, uint64)``.
 
-    Returns a C-contiguous array of shape (seeds, terms, 4): numpy's PCG64
-    reads each stream's four words raw from its buffer. With a spawn key,
+    Returns a C-contiguous array of shape (4, terms, seeds), one row per
+    word: state hi and lo, sequence hi and lo. With a spawn key,
     numpy pads the entropy of every seed below 2**64 to the same five words
     ``[lo, hi, 0, 0, t]``, so the first two mixing stages depend on the seed
     alone and only the last one on the term. Every operation runs along the
-    seeds: on the interleaved result, with rows of 4 or 8 words, numpy would
-    spend its time in loop overhead.
+    seeds: on rows of 4 or 8 words, numpy would spend its time in loop
+    overhead.
     """
     pool = np.zeros((4, seeds.size), dtype=np.uint32)
     pool[0] = seeds & _MASK32
@@ -159,20 +160,28 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
         dst = [i for i in range(4) if i != src]
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], 4 + 3 * src, 3))
     # Little-endian pairs of the eight state words make the four uint64 words.
-    words = np.empty((seeds.size, _TERMS, 8), dtype="<u4")
+    words = np.empty((4, _TERMS, seeds.size), dtype="<u8")
+    halves = words.view("<u4").reshape(4, _TERMS, seeds.size, 2)
     for term, mixed in enumerate(_mix(pool, _TERM_HASHES)):
         state = mixed ^ _STATE_XOR
         state *= _STATE_MULT
         state ^= state >> _XSHIFT
-        words[:, term] = state.reshape(8, -1).T
-    return words.view("<u8")
+        halves[:, term] = state.reshape(4, 2, -1).transpose(0, 2, 1)
+    return words
 
 
 class _StreamWords(ISeedSequence):
-    """An ``ISeedSequence`` that hands one stream's hashed words to numpy's PCG64."""
+    """An ``ISeedSequence`` that hands one stream's hashed words to numpy's PCG64.
+
+    PCG64 reads the buffer raw, so a strided view would seed another stream:
+    anything but 4 C-contiguous uint64 raises ``ValueError``.
+    """
 
     def __init__(self, words: np.ndarray) -> None:
-        self.words = words  # PCG64 reads the buffer raw: 4 contiguous uint64
+        if not (isinstance(words, np.ndarray) and words.shape == (4,)
+                and words.dtype == np.uint64 and words.flags.c_contiguous):
+            raise ValueError(f"a stream's words are 4 C-contiguous uint64, got {words!r}")
+        self.words = words
 
     def generate_state(self, n_words: int, dtype: object = np.uint32) -> np.ndarray:
         if n_words != 4 or np.dtype(dtype) != np.uint64:
@@ -180,28 +189,44 @@ class _StreamWords(ISeedSequence):
         return self.words
 
 
-def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Counts drawn by numpy, one ``Generator`` per stream of ``words``.
-
-    ``words`` has shape (..., 4) and ``p`` broadcasts against the streams,
-    ``words.shape[:-1]``: one p per term for a pass, or one per stream.
-    """
-    shape = words.shape[:-1]
-    p = np.broadcast_to(p, shape).ravel().tolist()
+def _numpy_counts(words: np.ndarray, n: int, p: Sequence[float]) -> np.ndarray:
+    """numpy's (seeds, terms) counts for (4, terms, seeds) seed words, one ``Generator`` per stream."""
+    rows = np.ascontiguousarray(words.T)  # (seeds, terms, 4): each stream's words contiguous
+    p = np.broadcast_to(p, rows.shape[:2]).ravel().tolist()
     return np.array([np.random.Generator(np.random.PCG64(_StreamWords(row))).binomial(n, q)
-                     for row, q in zip(words.reshape(-1, 4), p)], dtype=np.int64).reshape(shape)
+                     for row, q in zip(rows.reshape(-1, 4), p)],
+                    dtype=np.int64).reshape(rows.shape[:2])
+
+
+def _drawn_on(streams: np.ndarray, n: int, r: np.ndarray) -> list[int]:
+    """numpy's count for each stream of a (4, N) state array, drawn on from that state.
+
+    One generator takes each stream's state in turn through ``PCG64.state``.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator, state = np.random.Generator(bit_generator), bit_generator.state
+    drawn = []
+    for hi, lo, inc_hi, inc_lo, q in zip(*streams.tolist(), r.tolist()):
+        state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+        bit_generator.state = state
+        drawn.append(generator.binomial(n, q))
+    return drawn
 
 
 # PCG64 on uint64 arrays. A stream set is one (4, N) array: state hi and lo,
 # increment hi and lo; numpy's uint64 array arithmetic wraps modulo 2**64.
 #
 # The port's arrays are updated in place (``out=``, augmented assignment,
-# ``np.copyto(..., where=)``) and each temporary is dropped once used. glibc
-# hands the heap a pass grew back to the OS after the pass, so the next pass
-# faults its pages in again: written this way, a pass holds 144 instead of
-# 224 bytes per stream above its counts, and a warm 3000-seed mc-bell
-# invocation took 229-713 instead of 783-963 minor page faults (four seeds)
-# and ran 6-12 % faster. Every scalar in an in-place uint64 operation is an
+# ``np.copyto(..., where=)``) and each temporary is dropped once used: the
+# words are seeded in place into the states, and a pass allocates ``_step``'s
+# three scratch rows once, which also take a round's gathered parameters.
+# glibc hands the heap a pass grew back to the OS after the pass, so the next
+# pass faults its pages in again: written this way, a pass holds 118 bytes
+# per stream above its counts (141 with the states apart from the words and
+# a scratch per step, 224 with fresh temporaries at every step). In
+# perfbench's loop, a warm 3000-seed mc-bell invocation's hash and pass took
+# 60 instead of 265 minor page faults, and the invocation 336-347 instead of
+# 499-511 (two seeds). Every scalar in an in-place uint64 operation is an
 # np.uint64: numpy 1.x promotes a uint64 array and a Python int to float64,
 # which ``out=`` then refuses.
 _U64 = np.uint64
@@ -210,14 +235,15 @@ _MULT_HI, _MULT_LO = _U64(_MULTIPLIER >> 64), _U64(_MULTIPLIER & (2**64 - 1))
 _MULT_LO_0, _MULT_LO_1 = _MULT_LO & _LOW32, _MULT_LO >> _U64(32)
 
 
-def _step(streams: np.ndarray) -> None:
+def _step(streams: np.ndarray, scratch: np.ndarray) -> None:
     """state = state * multiplier + inc, modulo 2**128, in place.
 
-    The high word gains the high 64 bits of ``lo * _MULT_LO``, formed from
-    32-bit halves: ``lo = a1 * 2**32 + a0`` and ``_MULT_LO = b1 * 2**32 + b0``.
+    ``scratch`` holds three uint64 rows of the streams' length. The high
+    word gains the high 64 bits of ``lo * _MULT_LO``, formed from 32-bit
+    halves: ``lo = a1 * 2**32 + a0`` and ``_MULT_LO = b1 * 2**32 + b0``.
     """
     hi, lo, inc_hi, inc_lo = streams
-    a1, w, t = np.empty((3, lo.size), dtype=np.uint64)
+    a1, w, t = scratch
     np.right_shift(lo, _U64(32), out=a1)
     np.bitwise_and(lo, _LOW32, out=w)
     w *= _MULT_LO_0
@@ -240,40 +266,50 @@ def _step(streams: np.ndarray) -> None:
     hi += np.less(lo, inc_lo, out=t)  # the carry out of the low word
 
 
-def _seeded(words: np.ndarray) -> np.ndarray:
-    """numpy's ``pcg64_set_seed`` on each row ``[state hi, lo, seq hi, lo]``."""
-    seed_hi, seed_lo, seq_hi, seq_lo = words.T
-    streams = np.empty((4, len(words)), dtype=np.uint64)
-    hi, lo, inc_hi, inc_lo = streams
-    np.left_shift(seq_hi, _U64(1), out=inc_hi)
-    inc_hi |= np.right_shift(seq_lo, _U64(63), out=lo)
-    np.left_shift(seq_lo, _U64(1), out=inc_lo)
+def _seeded(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """numpy's ``pcg64_set_seed`` on the (4, N) words ``[state hi, lo, seq hi, lo]``, in place.
+
+    Each column becomes its stream's ``[state hi, lo, inc hi, lo]``;
+    ``scratch`` is ``_step``'s.
+    """
+    hi, lo, inc_hi, inc_lo = words
+    inc_hi <<= _U64(1)  # inc = seq << 1 | 1
+    inc_hi |= inc_lo >= _U64(2**63)
+    inc_lo <<= _U64(1)
     inc_lo |= _U64(1)
     # The first step, from state 0, gives inc; the seed is added to it.
-    np.add(inc_lo, seed_lo, out=lo)
-    np.less(lo, seed_lo, out=hi)
+    lo += inc_lo
     hi += inc_hi
-    hi += seed_hi
-    _step(streams)
-    return streams
+    hi += lo < inc_lo  # the carry out of the low word
+    _step(words, scratch)
+    return words
 
 
-def _next_double(streams: np.ndarray) -> np.ndarray:
-    """Step every stream and return its next double in [0, 1)."""
-    _step(streams)
+def _next_double(streams: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Step every stream and return its next double in [0, 1); ``scratch`` is ``_step``'s."""
+    _step(streams, scratch)
     hi, lo = streams[0], streams[1]
+    rot, right = scratch[0], scratch[1]
     x = hi ^ lo
-    rot = hi >> _U64(58)
-    right = x >> rot
+    np.right_shift(hi, _U64(58), out=rot)
+    np.right_shift(x, rot, out=right)
     np.negative(rot, out=rot)
     rot &= _U64(63)
     x <<= rot
     x |= right
-    del rot, right
     x >>= _U64(11)
     double = _recast(x, np.float64)  # exact below 2**53
     double *= _TWO_M53
     return double
+
+
+def _gather(values: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``values[g]`` written into ``out``, a row of ``_step``'s scratch.
+
+    Mode "clip" writes into ``out`` itself (``g`` is always in range); the
+    default "raise" gathers into a copy of it first.
+    """
+    return values.take(g, out=out, mode="clip")
 
 
 def _recast(values: np.ndarray, dtype: type) -> np.ndarray:
@@ -310,8 +346,10 @@ _BAND = 2.0**-30
 
 
 def _near(value: np.ndarray, threshold: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Where ``value`` lies within ``_BAND * scale`` of ``threshold``."""
-    return np.abs(value - threshold) <= _BAND * scale
+    """Where ``value`` lies within ``_BAND * scale`` of ``threshold``; ``scale`` is overwritten."""
+    scale *= _BAND
+    distance = value - threshold
+    return np.abs(distance, out=distance) <= scale
 
 
 def _tail_floor(base: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -331,7 +369,8 @@ def _tail_floor(base: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
 # distinct r, computed in C's order: apart from the inversion's start, C's
 # set-up uses only + - * /, sqrt and floor, which float64 arrays round as C's
 # doubles do. ``round`` makes one attempt on every stream, ``g`` giving each
-# stream's row, and returns (accepted, counts of the accepted).
+# stream's row and ``scratch`` being ``_step``'s, and returns (accepted,
+# counts of the accepted).
 
 class _Inversion:
     """numpy's ``random_binomial_inversion``: walk the pmf from 0 up to ``bound``."""
@@ -344,9 +383,12 @@ class _Inversion:
         bound = np.minimum(float(n), np_ + 10.0 * np.sqrt(np_ * self.q + 1.0))
         self.bound = bound.astype(np.int64)
 
-    def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u = _next_double(streams)
-        p, q, bound, px = self.r[g], self.q[g], self.bound[g], self.qn[g]
+    def round(self, streams: np.ndarray, scratch: np.ndarray,
+              g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = _next_double(streams, scratch)
+        f0, f1, f2 = scratch.view(np.float64)  # no step uses them until the next round
+        p, q, px = _gather(self.r, g, f0), _gather(self.q, g, f1), _gather(self.qn, g, f2)
+        bound = self.bound[g]
         x = np.zeros(u.size, dtype=np.int64)
         accepted = np.ones(u.size, dtype=bool)
         walking = np.flatnonzero(u > px)
@@ -524,54 +566,56 @@ class _Btpe:
 
     def _accepts(self, d: np.ndarray, v: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Steps 50 and 52: whether C accepts each candidate y = m + d of row g, given v."""
-        a = _fast_log(v)
-        threshold, scale = self._lookup(d, g, a)
-        x = np.where(scale >= 0.0, a, v)  # step 52 compares log(v), step 50 v
-        near = np.flatnonzero(_near(x, threshold, np.abs(x) + scale))  # none at step 50
+        x = _fast_log(v)
+        threshold, scale = self._lookup(d, g, x)
+        np.copyto(x, v, where=~(scale >= 0.0))  # step 52 compares log(v), step 50 v
+        scale += np.abs(x)
+        near = np.flatnonzero(_near(x, threshold, scale))  # none at step 50
         if near.size:  # there log(v) and T come from libm
             x[near] = _log(v[near])
             threshold[near] = self.thresholds(d[near], g[near], _log)[0]
         return ~(x > threshold)
 
-    def round(self, streams: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # In place, as PCG64 above; each array is gathered where it is used.
-        u = _next_double(streams)
-        u *= self.p4[g]
-        v = _next_double(streams)
+    def round(self, streams: np.ndarray, scratch: np.ndarray,
+              g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # In place, as PCG64 above. Each parameter is gathered where it is
+        # used, into a scratch row whose last value is read no more: no step
+        # uses the scratch until the next round.
+        f0, f1, f2 = scratch.view(np.float64)
+        u = _next_double(streams, scratch)
+        u *= _gather(self.p4, g, f0)
+        v = _next_double(streams, scratch)
         # Step 10 accepts the triangle; step 20's box gives a candidate y and a
         # new v to step 50, or rejects. Both are evaluated for every stream.
-        p1 = self.p1[g]
+        p1 = _gather(self.p1, g, f0)
         accepted = u <= p1
         y = p1 * v
-        np.subtract(self.xm[g], y, out=y)
+        np.subtract(_gather(self.xm, g, f1), y, out=y)
         y += u
-        x = u - p1
-        x /= self.c[g]
-        x += self.xl[g]
+        x = np.subtract(u, p1, out=f1)
+        x /= _gather(self.c, g, f2)
+        x += _gather(self.xl, g, f2)
         np.copyto(y, x, where=~accepted)
         y = _recast(np.floor(y, out=y), np.int64)
-        np.subtract(self.m[g], x, out=x)
+        np.subtract(_gather(self.m, g, f2.view(np.int64)), x, out=x)
         x += 0.5
         np.abs(x, out=x)
         x /= p1
-        del p1
-        vb = self.c[g]
+        vb = _gather(self.c, g, f0)
         vb *= v
         vb += 1.0
         vb -= x
-        del x
-        p2 = self.p2[g]
+        p2 = _gather(self.p2, g, f1)
         box = u <= p2
         box &= vb <= 1.0
         box &= ~accepted
         np.copyto(v, vb, where=box)
-        del vb
         tested = [np.flatnonzero(box)]
         # Steps 30 and 40, the tails, reject v == 0: its log has no floor.
         tail = u > p2
-        del box, p2
+        del box
         tail &= v > 0.0
-        right = u > self.p3[g]
+        right = u > _gather(self.p3, g, f0)
         right &= tail
         tail ^= right  # the left tail, p2 < u <= p3
         left, right = np.flatnonzero(tail), np.flatnonzero(right)
@@ -596,8 +640,8 @@ class _Btpe:
         del u
 
         at = np.concatenate(tested)
-        g = g[at]
-        accepted[at] = self._accepts(y[at] - self.m[g], v[at], g)
+        g, v = g[at], v[at]  # the full-size v goes
+        accepted[at] = self._accepts(y[at] - self.m[g], v, g)
         return accepted, y[accepted]
 
 
@@ -628,47 +672,52 @@ def _samplers(n: int, r: tuple[float, ...]
 
 def binomial(words: np.ndarray, n: int, p: Sequence[float],
              stragglers: int = _STRAGGLERS) -> np.ndarray:
-    """numpy's (seeds, terms) counts for (seeds, terms, 4) seed words, p per term.
+    """numpy's (seeds, terms) counts for (4, terms, seeds) seed words, p per term.
 
-    ``n`` is a Python int in [1, 2**63 - 1]. Numpy draws a sampler's streams
-    once no more than ``stragglers`` of them are pending, before the first
-    round too; at 0 the port's rounds run on every stream.
+    Seeds the words in place into the streams' PCG64 states, so the caller
+    passes a copy of any words it uses again. A sampler that serves a run
+    of consecutive terms takes their rows as a slice, and draws into a
+    slice of the counts. ``n`` is a Python int in [1, 2**63 - 1]. Numpy
+    draws on a sampler's streams once no more than ``stragglers`` of them
+    are pending, before the first round too; at 0 the port's rounds run on
+    every stream.
     """
     p = np.asarray(p, dtype=np.float64)
     flip = p > 0.5
     r = np.where(flip, 1.0 - p, p)
-    counts = np.zeros(words.shape[:2], dtype=np.int64)
+    counts = np.zeros(words.shape[1:], dtype=np.int64)
     for sampler, terms, rows in _samplers(n, tuple(r.tolist())):
-        g = np.tile(rows, len(words))
-        if len(terms) == len(p):  # no copies: the sampler draws into counts
-            _rounds(sampler, words.reshape(-1, 4), g, stragglers, counts.reshape(-1))
-        else:
-            drawn = np.empty((len(words), len(terms)), dtype=np.int64)
-            _rounds(sampler, words[:, terms].reshape(-1, 4), g, stragglers, drawn.reshape(-1))
-            counts[:, terms] = drawn
-    np.subtract(n, counts, out=counts, where=flip)
-    return counts
+        at = slice(terms[0], terms[-1] + 1) if terms[-1] - terms[0] < len(terms) else terms
+        drawn = counts[at]
+        _rounds(sampler, words[:, at].reshape(4, -1), np.repeat(rows, words.shape[2]),
+                stragglers, drawn.reshape(-1))
+        counts[at] = drawn  # nothing to copy where ``at`` is a slice
+    np.subtract(n, counts, out=counts, where=flip[:, np.newaxis])
+    return counts.T
 
 
-def _rounds(sampler: _Inversion | _Btpe, words: np.ndarray, g: np.ndarray,
+def _rounds(sampler: _Inversion | _Btpe, streams: np.ndarray, g: np.ndarray,
             stragglers: int, counts: np.ndarray) -> None:
-    """Masked rounds over the pending streams, then numpy redraws the stragglers.
+    """Masked rounds over the pending streams, then numpy draws on the stragglers.
 
-    Writes every stream's count into ``counts``, one per row of ``words``.
+    Seeds the (4, N) seed words ``streams`` in place and writes every
+    stream's count into ``counts``. ``_step``'s scratch is allocated once
+    and sliced as streams drop out.
     """
-    streams = _seeded(words)
-    pending = np.arange(len(words))
+    scratch = np.empty((3, streams.shape[1]), dtype=np.uint64)
+    _seeded(streams, scratch)
+    pending = np.arange(streams.shape[1])
     for _ in range(_ROUNDS):
         if pending.size <= stragglers:
             break
-        accepted, drawn = sampler.round(streams, g)
+        accepted, drawn = sampler.round(streams, scratch[:, :pending.size], g)
         counts[pending[accepted]] = drawn
         del drawn
-        rejected = np.logical_not(accepted, out=accepted)
-        pending, streams, g = pending[rejected], streams[:, rejected], g[rejected]
-        del accepted, rejected
+        kept = np.flatnonzero(np.logical_not(accepted, out=accepted))
+        del accepted
+        pending, streams, g = pending.take(kept), streams.take(kept, axis=1), g.take(kept)
     if pending.size:
-        counts[pending] = _numpy_counts(words[pending], sampler.n, sampler.r[g])
+        counts[pending] = _drawn_on(streams, sampler.n, sampler.r[g])
 
 
 #: (n, p per term, first word) probes for port_agrees, each on 32 seeds whose
@@ -694,8 +743,9 @@ def port_agrees() -> bool:
     try:
         for n, p, first in _PROBES:
             words = np.arange(first, first + _PROBE_SEEDS * len(p) * 4, dtype=np.uint64)
-            words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4)
-            if not np.array_equal(binomial(words, n, p, stragglers=0), _numpy_counts(words, n, p)):
+            words = (words * 0x9E37_79B9_7F4A_7C15).reshape(_PROBE_SEEDS, len(p), 4).T.copy()
+            if not np.array_equal(binomial(words.copy(), n, p, stragglers=0),
+                                  _numpy_counts(words, n, p)):
                 return False
         return True
     finally:

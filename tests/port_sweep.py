@@ -9,15 +9,19 @@ thresholds built at their own offsets), p within 1e-9 of 0.5 and tiny p at n
 up to ``2**63 - 1``, and n within a few of ``2**53``, of ``2**62`` and of
 ``2**63 - 1``, where C's int64 ``n + 1`` wraps. Each set draws 64 random
 seeds times four terms, and ``binomial(words, n, p, stragglers=0)`` must
-equal ``_numpy_counts``, one numpy generator per stream. The port's draws
-(``port_draw``) allow ``PORT_ROUNDS`` (64) rounds instead of ``_ROUNDS``
-before the streams still pending go to numpy: none may get there, or the
-comparison would check numpy against itself.
+equal ``_numpy_counts``, one numpy generator per stream built from the seed
+words. The port's draws (``port_draw``) allow ``PORT_ROUNDS`` (64) rounds
+instead of ``_ROUNDS`` before the streams still pending go to numpy: none
+may get there, or the comparison would check numpy against itself. Each set
+is then drawn once more with the shipped ``_ROUNDS`` and ``_STRAGGLERS``,
+which hands the streams still pending to numpy, to draw on from their PCG64
+states; those counts must equal ``_numpy_counts`` too.
 
 It prints its seed first, so that a failure can be replayed with ``--seed``,
 and the failing set in full. It exits 1 at the first mismatch; once the
-budget is spent, it prints how many streams reached numpy after the rounds
-and exits 1 if any did, 0 otherwise. Where numpy draws other counts than
+budget is spent, it prints how many streams reached numpy after the 64
+rounds and how many numpy drew on after the shipped cutoffs, and exits 1 if
+any stream reached numpy after the 64 rounds, 0 otherwise. Where numpy draws other counts than
 ``NUMPY_PINS`` (its binomial changed, and the port may be unused) it prints a
 skip message and exits 0. The file sits outside tier-1 collection: its name
 matches no test pattern.
@@ -34,7 +38,7 @@ import time
 
 import numpy as np
 
-from pathent._binomial import _numpy_counts, _seed_words
+from pathent._binomial import _ROUNDS, _STRAGGLERS, _numpy_counts, _seed_words
 from test_montecarlo import NUMPY_AS_PINNED, PORT_ROUNDS, port_draw
 
 SEEDS = 64
@@ -113,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(seed)
     sets = {regime.__name__: 0 for regime in REGIMES}
     port_s = numpy_s = 0.0
-    handed = 0
+    handed = continued = 0
     start = time.perf_counter()
     while time.perf_counter() - start < args.seconds:
         regime = rng.choice(REGIMES)
@@ -128,16 +132,21 @@ def main(argv: list[str] | None = None) -> int:
         numpy_s += time.perf_counter() - t1
         sets[regime.__name__] += 1
         handed += handed_now
-        if not np.array_equal(drawn, expected):
-            seed_at, term = np.argwhere(drawn != expected)[0]
-            print(f"MISMATCH in set {sum(sets.values())} ({regime.__name__}): n = {n}, "
-                  f"p = {p!r}, seeds = {seeds.tolist()}; seed {seeds[seed_at]} term {term}: "
-                  f"port {drawn[seed_at, term]}, numpy {expected[seed_at, term]}")
-            return 1
+        shipped, continued_now = port_draw(words, n, p, _ROUNDS, _STRAGGLERS)
+        continued += continued_now
+        for draw, cutoffs in ((drawn, f"{PORT_ROUNDS} rounds"),
+                              (shipped, f"{_ROUNDS} rounds and {_STRAGGLERS} stragglers")):
+            if not np.array_equal(draw, expected):
+                seed_at, term = np.argwhere(draw != expected)[0]
+                print(f"MISMATCH in set {sum(sets.values())} ({regime.__name__}, {cutoffs}): "
+                      f"n = {n}, p = {p!r}, seeds = {seeds.tolist()}; seed {seeds[seed_at]} "
+                      f"term {term}: port {draw[seed_at, term]}, numpy {expected[seed_at, term]}")
+                return 1
     total = sum(sets.values())
     print(f"{total} sets, {total * SEEDS * 4} streams in {time.perf_counter() - start:.1f} s "
           f"(port {port_s:.1f} s, numpy {numpy_s:.1f} s), no mismatch, {handed} streams "
-          f"handed to numpy after {PORT_ROUNDS} rounds; sets per regime: {sets}")
+          f"handed to numpy after {PORT_ROUNDS} rounds, {continued} drawn on by numpy after "
+          f"{_ROUNDS} rounds and {_STRAGGLERS} stragglers; sets per regime: {sets}")
     return 1 if handed else 0
 
 

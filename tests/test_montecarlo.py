@@ -241,21 +241,20 @@ class TestBatchedSeeding:
             for term_index, p in enumerate(probabilities):
                 sequence = np.random.SeedSequence(entropy=seed, spawn_key=(term_index,))
                 np.testing.assert_array_equal(
-                    words[row, term_index], sequence.generate_state(4, np.uint64), strict=True)
+                    words[:, term_index, row], sequence.generate_state(4, np.uint64), strict=True)
                 assert counts[term_index][row] == numpy_term_rng(seed, term_index).binomial(n, p)
 
     @pytest.mark.parametrize("seeds", [range(20), range(10**9, 10**9 + 3000),
                                        range(2**64 - 3000, 2**64)],
                              ids=["20", "3000", "3000-to-2**64-1"])
     def test_words_equal_seed_sequences(self, seeds):
-        # numpy's PCG64 reads each stream's four words raw from the buffer,
-        # so a strided result would seed other streams without any error.
+        # One row per word and term, each term's streams contiguous along it.
         words = _seed_words(np.arange(seeds.start, seeds.stop, dtype=np.uint64))
-        assert words.shape == (len(seeds), 4, 4) and words.dtype == np.uint64
+        assert words.shape == (4, 4, len(seeds)) and words.dtype == np.uint64
         assert words.flags.c_contiguous
         expected = [[np.random.SeedSequence(entropy=seed, spawn_key=(t,))
                      .generate_state(4, np.uint64) for t in range(4)] for seed in seeds]
-        np.testing.assert_array_equal(words, expected)
+        np.testing.assert_array_equal(words.T, expected)
 
     def test_blocks_of_seeds_match_one_seed_at_a_time(self, monkeypatch):
         # 600 seeds span passes of 256, 256 and 88 seeds; each row equals
@@ -361,16 +360,17 @@ class TestBatchedSeeding:
                      settings=bell_angle_settings(UNIT_VISIBILITY))
 
 
-def numpy_counts(seeds, n, p):
-    """(seeds, terms) counts, each stream's generator built by numpy from its seed."""
-    return np.array([[numpy_term_rng(seed, t).binomial(n, q) for t, q in enumerate(p)]
-                     for seed in seeds], dtype=np.int64)
+def numpy_counts(seeds, n, p, skipped=0):
+    """(seeds, terms) counts, each stream's generator built by numpy from its seed
+    and advanced by ``skipped`` draws first."""
+    return np.array([[np.random.Generator(numpy_term_rng(seed, t).bit_generator.advance(skipped))
+                      .binomial(n, q) for t, q in enumerate(p)] for seed in seeds], dtype=np.int64)
 
 
 def accepting_none(round_):
     """A sampler round that steps the streams as ``round_`` does but accepts none."""
-    def round(self, streams, g):
-        accepted, _ = round_(self, streams, g)
+    def round(self, *args):
+        accepted, _ = round_(self, *args)
         return np.zeros_like(accepted), np.empty(0, dtype=np.int64)
     return round
 
@@ -432,20 +432,20 @@ def fresh_samplers():
 PORT_ROUNDS = 64
 
 
-def port_draw(words, n, p):
-    """``binomial(words, n, p, stragglers=0)`` with ``PORT_ROUNDS`` rounds, and the
-    number of streams that still reached ``_numpy_counts`` during the draw."""
+def port_draw(words, n, p, rounds=PORT_ROUNDS, stragglers=0):
+    """``binomial`` on a copy of ``words`` with ``rounds`` rounds and the given
+    straggler cutoff, and the number of streams numpy drew on from their state."""
     handed = []
-    numpy_draw = _binomial._numpy_counts
+    drawn_on = _binomial._drawn_on
 
-    def counted(words, *args):
-        handed.append(words.size // 4)
-        return numpy_draw(words, *args)
+    def counted(streams, *args):
+        handed.append(streams.shape[1])
+        return drawn_on(streams, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_binomial, "_ROUNDS", PORT_ROUNDS)
-        patch.setattr(_binomial, "_numpy_counts", counted)
-        return _binomial.binomial(words, n, p, stragglers=0), sum(handed)
+        patch.setattr(_binomial, "_ROUNDS", rounds)
+        patch.setattr(_binomial, "_drawn_on", counted)
+        return _binomial.binomial(words.copy(), n, p, stragglers), sum(handed)
 
 
 def c_log(v):
@@ -564,9 +564,10 @@ class TestBinomialPort:
            st.integers(0, 3))
     def test_pcg64_seeding_and_doubles_equal_numpys(self, seeds, term):
         words = _seed_words(np.array(seeds, dtype=np.uint64))[:, term]
-        seeded = _binomial._seeded(words)
+        scratch = np.empty((3, len(seeds)), dtype=np.uint64)
+        seeded = _binomial._seeded(words.copy(), scratch)
         streams = seeded.copy()
-        doubles = [_binomial._next_double(streams) for _ in range(3)]
+        doubles = [_binomial._next_double(streams, scratch) for _ in range(3)]
         for i, seed in enumerate(seeds):
             bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(term,)))
             state = bit_generator.state["state"]
@@ -602,7 +603,7 @@ class TestBinomialPort:
             expected = numpy_counts(seeds, n, p)
             np.testing.assert_array_equal(_binomial.counts(seed_array, n, p), expected)
             if NUMPY_AS_PINNED:
-                np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+                np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p), expected)
                 drawn, handed = port_draw(words, n, p)
                 assert handed == 0
                 np.testing.assert_array_equal(drawn, expected)
@@ -616,7 +617,8 @@ class TestBinomialPort:
         # n = 2**63 - 1, and Stirling's bound, whose n + 1 - m and
         # n - y + 1 numpy forms in float64, at n above 2**53 and n * p ~ 100.
         words = _seed_words(MANY_STREAM_SEEDS)
-        np.testing.assert_array_equal(_binomial.binomial(words, n, p), _numpy_counts(words, n, p))
+        np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p),
+                                      _numpy_counts(words, n, p))
 
     @needs_port
     @pytest.mark.parametrize("error, band", [(2.0**-12, 2.0**-10), (2.0**-8, 2.0**-6)],
@@ -637,9 +639,9 @@ class TestBinomialPort:
         expected = [_numpy_counts(words, n, p) for n, p in cases]
         monkeypatch.setattr(_binomial, "_BAND", band)
         for (n, p), counts in zip(cases, expected):
-            np.testing.assert_array_equal(_binomial.binomial(words, n, p), counts)
+            np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p), counts)
         monkeypatch.setattr(_binomial, "_BAND", 0.0)
-        assert any(not np.array_equal(_binomial.binomial(words, n, p), counts)
+        assert any(not np.array_equal(_binomial.binomial(words.copy(), n, p), counts)
                    for (n, p), counts in zip(cases, expected))
 
     @pytest.mark.parametrize("n, r, nrq", THRESHOLD_TERMS,
@@ -724,16 +726,16 @@ class TestBinomialPort:
         # past 8 from m takes its threshold built at its own offset.
         words = _seed_words(MANY_STREAM_SEEDS)
         expected = _numpy_counts(words, n, p)
-        np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+        np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p), expected)
         r = tuple(min(x, 1.0 - x) for x in p)
         sampler = [s for s, _, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
         reach = sampler._reach.copy()
         _binomial.binomial(_seed_words(np.arange(_PASS_SEEDS, dtype=np.uint64)), n, p)
         assert (sampler._reach > reach).any()
-        np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+        np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p), expected)
         monkeypatch.setattr(_binomial, "_TABLE_REACH", 8)
         _binomial._samplers.cache_clear()
-        np.testing.assert_array_equal(_binomial.binomial(words, n, p), expected)
+        np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p), expected)
         sampler = [s for s, _, _ in _binomial._samplers(n, r) if isinstance(s, _binomial._Btpe)][0]
         assert sampler._reach.max() <= 8
 
@@ -741,18 +743,67 @@ class TestBinomialPort:
     @pytest.mark.parametrize("rounds, accepting", [(0, True), (1, True), (2, True), (2, False)],
                              ids=["0", "1", "2", "2-accepting-none"])
     def test_stragglers_finished_by_numpy(self, monkeypatch, rounds, accepting):
-        # Whatever the round a stream is left pending in, numpy redraws it
-        # from its seed words with the count it would have drawn itself, also
-        # when the rounds stepped every stream and accepted none.
+        # Whatever the round a stream is left pending in, numpy draws on from
+        # its PCG64 state and reaches the count it would have drawn itself.
+        # When the rounds stepped every stream and accepted none, numpy draws
+        # what its own generator draws after the doubles those attempts took
+        # (two per BTPE attempt, one per inversion attempt): it takes up the
+        # state, not the seed words.
         monkeypatch.setattr(_binomial, "_ROUNDS", rounds)
         if not accepting:
             for sampler in (_binomial._Inversion, _binomial._Btpe):
                 monkeypatch.setattr(sampler, "round", accepting_none(sampler.round))
         seeds = range(200)
         words = _seed_words(np.array(seeds, dtype=np.uint64))
-        for n, p in [(1000, (0.1, 0.3, 0.2, 0.9)), (20, (0.1, 0.3, 0.97, 0.5))]:
-            np.testing.assert_array_equal(_binomial.binomial(words, n, p, stragglers=0),
-                                          numpy_counts(seeds, n, p))
+        for n, p, doubles in [(1000, (0.1, 0.3, 0.2, 0.9), 2), (20, (0.1, 0.3, 0.97, 0.5), 1)]:
+            skipped = 0 if accepting else rounds * doubles
+            np.testing.assert_array_equal(_binomial.binomial(words.copy(), n, p, stragglers=0),
+                                          numpy_counts(seeds, n, p, skipped))
+
+    @needs_port
+    @pytest.mark.parametrize("rounds", [1, 2])
+    @pytest.mark.parametrize("n, r", [(20, 0.3), (2**63 - 1, 1e-18), (1000, 0.3),
+                                      (2**63 - 1, 1e-17), (2**63 - 1, 0.5)],
+                             ids=["inversion-20", "inversion-2**63-1", "btpe-1000",
+                                  "btpe-2**63-1", "btpe-2**63-1-half"])
+    def test_pending_streams_continue_from_their_state(self, n, r, rounds):
+        # Every stream makes `rounds` attempts. Numpy, drawing on from each
+        # stream's PCG64 state, must draw what its own generator draws after
+        # the doubles those attempts took, and for each stream the port
+        # rejected in every round, the count numpy's replay from the seed
+        # words draws: a rejected attempt leaves nothing behind but the state.
+        # Inversion next to never rejects, so only BTPE must have such streams.
+        seeds = np.arange(1024, dtype=np.uint64)
+        words = _seed_words(seeds)[:, :1]
+        (sampler, _, _), = _binomial._samplers(n, (r,))
+        streams = words.reshape(4, -1).copy()
+        scratch = np.empty((3, seeds.size), dtype=np.uint64)
+        _binomial._seeded(streams, scratch)
+        g = np.zeros(seeds.size, dtype=np.intp)
+        rejected = np.ones(seeds.size, dtype=bool)
+        for _ in range(rounds):
+            rejected &= ~sampler.round(streams, scratch, g)[0]
+        continued = np.array(_binomial._drawn_on(streams, n, sampler.r[g]))
+        doubles = 2 if isinstance(sampler, _binomial._Btpe) else 1
+        np.testing.assert_array_equal(continued, numpy_counts(seeds.tolist(), n, [r],
+                                                              rounds * doubles)[:, 0])
+        assert rejected.any() or doubles == 1
+        replayed = _numpy_counts(words[..., rejected], n, [r])[:, 0]
+        np.testing.assert_array_equal(continued[rejected], replayed)
+
+    @pytest.mark.parametrize("bad", ["strided", "three", "int64", "big-endian", "2-d"])
+    def test_stream_words_refuse_other_than_four_contiguous_uint64(self, bad):
+        # numpy's PCG64 reads the words raw from the buffer: a strided view of
+        # a stream's words seeds another stream, without any error.
+        words = _seed_words(np.arange(3, dtype=np.uint64))
+        column = words[:, 1, 2]
+        assert np.random.PCG64(_binomial._StreamWords(column.copy())).random_raw() == \
+            numpy_term_rng(2, 1).bit_generator.random_raw()
+        given_words = {"strided": column, "three": column[:3].copy(),
+                       "int64": column.astype(np.int64), "big-endian": column.astype(">u8"),
+                       "2-d": column.reshape(1, 4).copy()}[bad]
+        with pytest.raises(ValueError, match="4 C-contiguous uint64"):
+            _binomial._StreamWords(given_words)
 
     @needs_port
     @pytest.mark.parametrize("sampler", ["_Inversion", "_Btpe", "unwrapped-n+1"])
@@ -772,8 +823,8 @@ class TestBinomialPort:
         else:
             round_ = getattr(_binomial, sampler).round
 
-            def off_by_one(self, streams, g):
-                accepted, drawn = round_(self, streams, g)
+            def off_by_one(self, *args):
+                accepted, drawn = round_(self, *args)
                 return accepted, drawn + 1
 
             monkeypatch.setattr(getattr(_binomial, sampler), "round", off_by_one)
@@ -803,7 +854,7 @@ class TestBinomialPort:
         passes = []
         port = _binomial.binomial
         monkeypatch.setattr(_binomial, "binomial",
-                            lambda words, n, p: passes.append(len(words)) or port(words, n, p))
+                            lambda words, n, p: passes.append(words.shape[2]) or port(words, n, p))
         seeds = range(2**64 - num_seeds, 2**64)
         settings = bell_angle_settings(Visibility(v=0.9), Efficiency(eta=0.8))
         p = [joint_probability_at_phase(delta, settings.v, settings.eta)
@@ -852,10 +903,12 @@ class TestBinomialPort:
         assert extra[1] <= 1.5 * extra[0]
 
     def test_pass_footprint_per_stream(self):
-        # One full pass, traced above its counts: the port updates its arrays
-        # in place and drops each temporary once used, so a pass holds about
-        # 144 bytes per stream (the seed words, the PCG64 states and a
-        # round's temporaries); fresh temporaries at every step took 224.
+        # One full pass, traced above its counts: the port seeds the words in
+        # place into the PCG64 states and gathers a round's parameters into
+        # the pass's one scratch, so a pass holds about 118 bytes per stream
+        # (the words, the scratch and a round's arrays); with the states and
+        # every step's scratch apart from the words it took 141, and with
+        # fresh temporaries at every step 224.
         settings = bell_angle_settings(Visibility(v=0.9))
         cfg = McConfig(seed=range(_PASS_SEEDS), trials_per_setting=1000, settings=settings)
         simulate_counts(cfg)  # the canary and the samplers' set-up are cached
@@ -866,7 +919,7 @@ class TestBinomialPort:
         finally:
             tracemalloc.stop()
         extra = peak - sum(count.nbytes for count in counts)
-        assert extra <= 158 * _PASS_SEEDS * 4
+        assert extra <= 130 * _PASS_SEEDS * 4
 
     @needs_port
     def test_port_agrees_with_this_numpy(self):
